@@ -120,7 +120,6 @@ def cmd_fit(args):
         max_iters=args.iters, convergence_tol=args.tol, seed=args.seed,
     ).validate()
     model = lmf_fit(tree, m, spec, threads=args.threads,
-                    deterministic=args.deterministic,
                     uncovered=args.uncovered)
     model.save(args.out)
     t = model.timings
@@ -255,7 +254,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--uncovered", choices=("bias", "cross"), default="bias")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

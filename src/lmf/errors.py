@@ -11,12 +11,14 @@ class LMFError(Exception):
 
 
 class RatingFormatError(LMFError):
-    """Malformed rating-log line (bad field count or non-numeric rating)."""
+    """Malformed rating-log line (bad field count or non-numeric rating),
+    or a non-finite rating; ``path`` and ``lineno`` are None when the
+    rating did not come from a file."""
 
     exit_code = 2
 
     def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
+        super().__init__(message if path is None else f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno
 

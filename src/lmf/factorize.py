@@ -252,10 +252,6 @@ def _smooth_hinge(z):
     return out
 
 
-def _smooth_hinge_grad(z):
-    return np.where(z >= 1.0, 0.0, np.where(z > 0.0, z - 1.0, -1.0))
-
-
 def _mmmf_levels(m, spec):
     if spec.levels is not None:
         levels = np.asarray(spec.levels, dtype=np.float64)
@@ -294,29 +290,51 @@ def _fit_mmmf(m, spec, init, hook, sample_order):
     mids = (levels[:-1] + levels[1:]) / 2.0 if n_th else np.empty(0)
     thresholds = np.tile(mids, (m.n_rows, 1))
 
-    n_i = np.maximum(m.row_counts(), 1).astype(np.float64)
-    m_j = np.maximum(m.col_counts(), 1).astype(np.float64)
+    n_i = np.maximum(m.row_counts(), 1).astype(np.float64).tolist()
+    m_j = np.maximum(m.col_counts(), 1).astype(np.float64).tolist()
     lr, C = spec.learning_rate, spec.margin_c
-    rows, cols, vals = m.rows, m.cols, m.vals
-    sign = np.arange(n_th)
+    rows, cols = m.rows.tolist(), m.cols.tolist()
+    # the +-1 sign of every threshold for each level: +1 at or above it
+    signs = [[1.0 if k >= lev else -1.0 for k in range(n_th)]
+             for lev in range(levels.size)]
+    entry_signs = [signs[lev] for lev in lev_idx.tolist()]
+    step, tmp = np.empty(r), np.empty(r)
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
     history = []
     for it in range(spec.max_iters):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
-        for t in order:
+        # at most a few thresholds per row: Python floats for the epoch,
+        # updated in the vectorized form's operation order so the iterates
+        # stay bitwise equal to it
+        th_rows = thresholds.tolist()
+        for t in np.asarray(order).tolist():
             i, j = rows[t], cols[t]
             ui = U[i]
             vj = V[j]
-            if n_th:
-                T = np.where(sign >= lev_idx[t], 1.0, -1.0)
-                z = T * (thresholds[i] - ui @ vj)
-                coef = C * (_smooth_hinge_grad(z) * T)
-                gs = -coef.sum()
-                thresholds[i] -= lr * coef
-            else:
-                gs = 0.0
-            U[i] = ui - lr * (gs * vj + ui / n_i[i])
-            V[j] = vj - lr * (gs * ui + vj / m_j[j])
+            th = th_rows[i]
+            s = float(ui @ vj)
+            acc = 0.0
+            for k, sk in enumerate(entry_signs[t]):
+                z = sk * (th[k] - s)
+                g = 0.0 if z >= 1.0 else (z - 1.0 if z > 0.0 else -1.0)
+                c = C * (g * sk)
+                acc += c
+                th[k] -= lr * c
+            gs = -acc if n_th else 0.0
+            # ui -= lr * (gs * vj + ui / n_i), then the same for vj, which
+            # moves along the updated ui (a view of U[i])
+            mul(vj, gs, out=step)
+            div(ui, n_i[i], out=tmp)
+            add(step, tmp, out=step)
+            mul(step, lr, out=step)
+            sub(ui, step, out=ui)
+            mul(ui, gs, out=step)
+            div(vj, m_j[j], out=tmp)
+            add(step, tmp, out=step)
+            mul(step, lr, out=step)
+            sub(vj, step, out=vj)
+        thresholds = np.array(th_rows, dtype=np.float64)
         obj = _mmmf_objective(m, U, V, thresholds, lev_idx, C)
         _check_finite(obj, it)
         history.append(obj)

@@ -27,9 +27,10 @@ from .errors import (
 class RatingMatrix:
     """Immutable sparse matrix of observed ratings.
 
-    Entries are unique (row, col) pairs; duplicates are a hard error at
-    construction because silent dedup would corrupt every density
-    statistic downstream. Safe to share across threads once built.
+    Entries are unique (row, col) pairs with finite values; duplicates and
+    nan/inf ratings are hard errors at construction because they would
+    corrupt every density statistic and fit downstream. Safe to share
+    across threads once built.
     """
 
     __slots__ = (
@@ -71,6 +72,13 @@ class RatingMatrix:
             else [str(j) for j in range(n_cols)]
         if len(self.row_labels) != self.n_rows or len(self.col_labels) != self.n_cols:
             raise ShapeError("label count does not match dimension")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            k = int(bad[0])
+            raise RatingFormatError(
+                None, None,
+                f"non-finite rating {vals[k]} for row {self.row_labels[rows[k]]!r}, "
+                f"col {self.col_labels[cols[k]]!r}")
 
         self._row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
         self._col_order = np.lexsort((rows, cols))

@@ -10,6 +10,7 @@ paths are mutually exclusive: the fallback never fires for covered cells.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import time
@@ -188,7 +189,13 @@ class LMFModel:
         for k in range(manifest["n_blocks"]):
             pair, _ = load_factors(os.path.join(directory, f"block_{k:04d}.fac"))
             pairs.append(pair)
-        raw = open(os.path.join(directory, "biases.bin"), "rb").read()
+        with open(os.path.join(directory, "biases.bin"), "rb") as fh:
+            raw = fh.read()
+        expected = 8 * (tree.n_rows + tree.n_cols)
+        if len(raw) != expected:
+            raise ShapeError(f"biases.bin holds {len(raw)} bytes, expected "
+                             f"{expected} for {tree.n_rows} rows and "
+                             f"{tree.n_cols} columns")
         b = np.frombuffer(raw, dtype="<f8")
         b_user = b[:tree.n_rows].copy()
         b_item = b[tree.n_rows:tree.n_rows + tree.n_cols].copy()
@@ -227,6 +234,38 @@ def _tag_block_error(exc, block_id):
     return exc
 
 
+# numpy's bundled OpenBLAS exports the 64-bit-integer name; a system
+# OpenBLAS exports one of the others
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _single_blas_thread():
+    """Pool initializer: run every loaded OpenBLAS with one thread, so the
+    workers split the cores between them instead of each claiming all of
+    them. numpy has no API for this; a platform without ``/proc/self/maps``
+    or a library without a known setter keeps its threads."""
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            paths = {os.fsdecode(line.split(maxsplit=5)[-1].strip())
+                     for line in fh if b"openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 def _fit_one_block(args):
     k, block_matrix, spec = args
     t0 = time.perf_counter()
@@ -239,13 +278,15 @@ def _fit_one_block(args):
     return k, pair, time.perf_counter() - t0
 
 
-def lmf_fit(tree, m, spec, threads=1, deterministic=True, uncovered="bias"):
+def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
     """Factorize every assembled block of ``tree`` independently.
 
-    Blocks are dispatched largest-first over a pool of ``threads`` worker
-    processes; each block trains under a seed derived from the spec seed
-    and the block's position, so the result is identical for any thread
-    count. Fallback biases are computed from all training entries.
+    Blocks are dispatched largest-first over a pool of at most ``threads``
+    worker processes, capped at the CPUs this process may run on and the
+    block count; each worker runs BLAS with one thread. Each block trains
+    under a seed derived from the spec seed and the block's position, so
+    the result is identical for any thread count. Fallback biases are
+    computed from all training entries.
     """
     spec.validate()
     if m.n_rows != tree.n_rows or m.n_cols != tree.n_cols:
@@ -265,8 +306,9 @@ def lmf_fit(tree, m, spec, threads=1, deterministic=True, uncovered="bias"):
 
     pairs = [None] * len(jobs)
     block_times = [0.0] * len(jobs)
+    workers = min(threads, len(os.sched_getaffinity(0)), len(jobs))
     t_fit = time.perf_counter()
-    if threads <= 1 or len(jobs) == 1:
+    if workers <= 1:
         for k in order:
             try:
                 k2, pair, dt = _fit_one_block(jobs[k])
@@ -275,7 +317,8 @@ def lmf_fit(tree, m, spec, threads=1, deterministic=True, uncovered="bias"):
             pairs[k2] = pair
             block_times[k2] = dt
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_single_blas_thread) as pool:
             futures = {pool.submit(_fit_one_block, jobs[k]): k for k in order}
             for fut, k in futures.items():
                 try:

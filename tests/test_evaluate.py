@@ -299,6 +299,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["split", "--input", str(empty), "--folds", "2",
                      "--out", str(tmp_path / "f2")]) == 4
 
+    non_finite = tmp_path / "nan.tsv"
+    non_finite.write_text("a b 5\na c nan\n")
+    assert cli_main(["fit", "--input", str(non_finite), "--algo", "svd",
+                     "--factors", "2", "--out", str(tmp_path / "m0")]) == 2
+
     # divergence -> exit 3
     data = tmp_path / "ok.tsv"
     _write_ratings_file(data, _bench_matrix())

@@ -334,6 +334,59 @@ def test_pmf_blockwise_equals_joint_run_with_partitioned_order():
         assert np.abs(Vj - np.vstack([trace_a[t][1], trace_b[t][1]])).max() < 1e-9
 
 
+def _mmmf_reference(m, spec, U, V, order):
+    """The vectorized mmmf_fast SGD loop, kept as the reference that the
+    scalar kernel must reproduce bit for bit."""
+    def hinge_grad(z):
+        return np.where(z >= 1.0, 0.0, np.where(z > 0.0, z - 1.0, -1.0))
+
+    levels = np.asarray(spec.levels, dtype=np.float64)
+    lev_idx = np.clip(np.searchsorted(levels, m.vals), 0, levels.size - 1)
+    n_th = levels.size - 1
+    thresholds = np.tile((levels[:-1] + levels[1:]) / 2.0, (m.n_rows, 1))
+    n_i = np.maximum(m.row_counts(), 1).astype(np.float64)
+    m_j = np.maximum(m.col_counts(), 1).astype(np.float64)
+    lr, C = spec.learning_rate, spec.margin_c
+    rows, cols = m.rows, m.cols
+    sign = np.arange(n_th)
+    trace = []
+    for _ in range(spec.max_iters):
+        for t in order:
+            i, j = rows[t], cols[t]
+            ui = U[i]
+            vj = V[j]
+            T = np.where(sign >= lev_idx[t], 1.0, -1.0)
+            z = T * (thresholds[i] - ui @ vj)
+            coef = C * (hinge_grad(z) * T)
+            gs = -coef.sum()
+            thresholds[i] -= lr * coef
+            U[i] = ui - lr * (gs * vj + ui / n_i[i])
+            V[j] = vj - lr * (gs * ui + vj / m_j[j])
+        trace.append((U.copy(), V.copy()))
+    return trace, thresholds
+
+
+def test_mmmf_iterates_equal_vectorized_reference():
+    rng = np.random.default_rng(23)
+    r, c, v = random_block(rng, 15, 17, 0.5)
+    m = RatingMatrix(15, 17, r, c, v)
+    spec = FactorizerSpec(algorithm="mmmf_fast", r=4, learning_rate=0.05,
+                          margin_c=1.5, max_iters=6, convergence_tol=0.0,
+                          seed=0, levels=(1.0, 2.0, 3.0, 4.0, 5.0))
+    U0 = rng.standard_normal((15, 4))
+    V0 = rng.standard_normal((17, 4))
+    order = rng.permutation(m.nnz)
+    trace = []
+    pair = factorize(m, spec, init=(U0, V0), sample_order=order,
+                     iterate_hook=lambda it, U, V: trace.append(
+                         (U.copy(), V.copy())))
+    ref, ref_thresholds = _mmmf_reference(m, spec, U0.copy(), V0.copy(), order)
+    assert len(trace) == len(ref) == spec.max_iters
+    for (U, V), (Ur, Vr) in zip(trace, ref):
+        assert np.array_equal(U, Ur) and np.array_equal(V, Vr)
+    assert np.array_equal(pair.thresholds, ref_thresholds)
+
+
 def test_deterministic_for_fixed_spec():
     rng = np.random.default_rng(13)
     r, c, v = random_block(rng, 12, 14, 0.4)

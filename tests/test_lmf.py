@@ -1,4 +1,7 @@
+import ctypes
 import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from lmf import (
     predict_entry,
 )
 from lmf.errors import DomainError, ShapeError
-from lmf.model import fallback_biases
+from lmf.model import _single_blas_thread, fallback_biases
 
 from conftest import planted_blocks
 
@@ -201,18 +204,23 @@ def test_exact_recovery_of_low_rank_block_diagonal():
     assert np.abs(preds - m.vals).max() < 1e-6
 
 
-def test_parallel_equivalence_and_identical_model_files(tmp_path):
+@pytest.mark.parametrize("threads", [2, 8])  # 8 > a small CPU set: capped
+@pytest.mark.parametrize("algo", ["svd_als", "nmf", "pmf_sgd", "mmmf_fast"])
+def test_parallel_equivalence_and_identical_model_files(tmp_path, algo,
+                                                        threads):
     rng = np.random.default_rng(8)
     m = planted_blocks(rng, [(10, 12), (9, 11), (8, 10)], 0.5, bridge_rows=1)
     tree, _ = balanced_permute(m, 0.55, seed=3)
-    m1 = lmf_fit(tree, m, SPEC, threads=1)
-    m2 = lmf_fit(tree, m, SPEC, threads=2)
-    for a, b in zip(m1.pairs, m2.pairs):
+    spec = replace(SPEC, algorithm=algo)
+    serial = lmf_fit(tree, m, spec, threads=1)
+    pooled = lmf_fit(tree, m, spec, threads=threads)
+    assert serial.n_blocks > 1
+    for a, b in zip(serial.pairs, pooled.pairs):
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.V, b.V)
-    d1, d2 = tmp_path / "m1", tmp_path / "m2"
-    m1.save(d1)
-    m2.save(d2)
+    d1, d2 = tmp_path / "serial", tmp_path / "pooled"
+    serial.save(d1)
+    pooled.save(d2)
     for name in sorted(os.listdir(d1)):
         if name.endswith(".fac") or name == "biases.bin":
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
@@ -232,6 +240,48 @@ def test_model_round_trip_predictions(tmp_path):
         assert loaded.predict(int(i), int(j)) == model.predict(int(i), int(j))
         assert loaded.coverage_count(int(i), int(j)) == \
             model.coverage_count(int(i), int(j))
+
+
+def _openblas_threads():
+    """Thread count of every OpenBLAS loaded in this process, by path."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh
+                 if "openblas" in line.lower()}
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                counts[path] = getter()
+                break
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    before = _openblas_threads() if os.path.exists("/proc/self/maps") else {}
+    if not before:
+        pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it")
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=_single_blas_thread) as pool:
+        in_worker = pool.submit(_openblas_threads).result(timeout=60)
+    assert in_worker and set(in_worker.values()) == {1}
+    assert _openblas_threads() == before
+
+
+@pytest.mark.parametrize("cut", [3, 8])  # mid-value, and whole values lost
+def test_load_rejects_truncated_biases(tmp_path, cut):
+    rng = np.random.default_rng(9)
+    m = planted_blocks(rng, [(9, 10), (8, 9)], 0.5, bridge_rows=1)
+    tree, _ = balanced_permute(m, 0.5, seed=4)
+    lmf_fit(tree, m, SPEC).save(tmp_path / "model")
+    biases = tmp_path / "model" / "biases.bin"
+    biases.write_bytes(biases.read_bytes()[:-cut])
+    with pytest.raises(ShapeError) as err:
+        LMFModel.load(tmp_path / "model")
+    assert err.value.exit_code == 2
 
 
 def test_cross_block_fallback_option():

@@ -60,6 +60,16 @@ def test_load_malformed_line_reports_lineno(tmp_path):
         load_ratings(p)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_load_non_finite_rating_rejected(tmp_path, raw):
+    p = tmp_path / "r.tsv"
+    p.write_text(f"a b 5\nc d {raw}\n")
+    with pytest.raises(RatingFormatError) as err:
+        load_ratings(p)
+    assert err.value.exit_code == 2
+    assert "'c'" in str(err.value) and "'d'" in str(err.value)
+
+
 def test_load_empty_file(tmp_path):
     p = tmp_path / "r.tsv"
     p.write_text("# only a comment\n\n")
