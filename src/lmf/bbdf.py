@@ -244,6 +244,17 @@ def _order_views(views):
     return [v for _, v in keyed]
 
 
+def _child_tags(parts, n_rows, n_cols):
+    """Per global row and column, the position in ``parts`` of the part
+    holding it, or -1 where no part does (a border, or outside them all)."""
+    rowtag = np.full(n_rows, -1, dtype=np.int64)
+    coltag = np.full(n_cols, -1, dtype=np.int64)
+    for k, part in enumerate(parts):
+        rowtag[part.rows] = k
+        coltag[part.cols] = k
+    return rowtag, coltag
+
+
 def basic_bbdf_step(view, seed=0, balance_tol=0.2):
     """One vertex-separator step: the separator's R-nodes become the row
     border and its C-nodes the column border; each part becomes a child.
@@ -473,16 +484,11 @@ def abbdf_permute(m, target_density, seed=0, balance_tol=0.2):
                       dtype=np.int64)
 
         # entries now straddling two blocks (neither endpoint promoted)
-        rowtag = np.full(m.n_rows, -1, dtype=np.int64)
-        coltag = np.full(m.n_cols, -1, dtype=np.int64)
-        for ci, ch in enumerate(shrunk):
-            rowtag[ch.rows] = ci
-            coltag[ch.cols] = ci
+        rowtag, coltag = _child_tags(shrunk, m.n_rows, m.n_cols)
         er, ec = m.rows[eidx], m.cols[eidx]
         tr, tc = rowtag[er], coltag[ec]
         cross = (tr >= 0) & (tc >= 0) & (tr != tc)
-        node.dropped = np.stack([er[cross], ec[cross]], axis=1) \
-            if cross.any() else np.empty((0, 2), dtype=np.int64)
+        node.dropped = np.stack([er[cross], ec[cross]], axis=1)
         node.row_border, node.col_border = rb, cb
         node.children = [build(ch, path + (i,))
                          for i, ch in enumerate(shrunk)]
@@ -609,10 +615,27 @@ def balanced_permute(m, target_density, seed=0, balance_tol=0.2,
 
 # -- stitching -------------------------------------------------------------------
 
+def assembled_indices(tree):
+    """Yield ``(leaf, rows, cols)`` per leaf in tree order: the global
+    indices of its assembled block, the leaf's own first, then every
+    ancestor border, nearest ancestor first."""
+
+    def walk(node, anc_rows, anc_cols):
+        if node.is_leaf:
+            yield (node, np.concatenate([node.rows] + anc_rows),
+                   np.concatenate([node.cols] + anc_cols))
+        else:
+            for ch in node.children:
+                yield from walk(ch, [node.row_border] + anc_rows,
+                                [node.col_border] + anc_cols)
+
+    yield from walk(tree.root, [], [])
+
+
 def assemble_blocks(tree, m=None):
-    """One assembled block per leaf: the leaf's own indices followed by
-    every ancestor border, nearest ancestor first. Dropped scatter entries
-    are excluded from the assembled entry sets."""
+    """One assembled block per leaf, over the indices of
+    :func:`assembled_indices`. Dropped scatter entries are excluded from
+    the assembled entry sets."""
     m = m if m is not None else tree.matrix
     if m is None:
         raise ShapeError("tree carries no matrix; pass one explicitly")
@@ -623,35 +646,23 @@ def assemble_blocks(tree, m=None):
     dkeys = dropped[:, 0] * m.n_cols + dropped[:, 1] if dropped.size else None
 
     blocks = []
-
-    def walk(node, anc_rows, anc_cols):
-        if node.is_leaf:
-            rows = np.concatenate([node.rows] + anc_rows) \
-                if anc_rows else node.rows
-            cols = np.concatenate([node.cols] + anc_cols) \
-                if anc_cols else node.cols
-            view = SubmatrixView(m, rows, cols)
-            eidx = view.entry_indices()
-            if dkeys is not None and eidx.size:
-                keys = m.rows[eidx] * m.n_cols + m.cols[eidx]
-                eidx = eidx[~np.isin(keys, dkeys)]
-            rpos = np.full(m.n_rows, -1, dtype=np.int64)
-            cpos = np.full(m.n_cols, -1, dtype=np.int64)
-            rpos[rows] = np.arange(rows.size)
-            cpos[cols] = np.arange(cols.size)
-            local = RatingMatrix(
-                rows.size, cols.size,
-                rpos[m.rows[eidx]], cpos[m.cols[eidx]], m.vals[eidx],
-                row_labels=[m.row_labels[i] for i in rows],
-                col_labels=[m.col_labels[j] for j in cols],
-            )
-            blocks.append(AssembledBlock(rows, cols, local, node))
-        else:
-            for ch in node.children:
-                walk(ch, [node.row_border] + anc_rows,
-                     [node.col_border] + anc_cols)
-
-    walk(tree.root, [], [])
+    for leaf, rows, cols in assembled_indices(tree):
+        view = SubmatrixView(m, rows, cols)
+        eidx = view.entry_indices()
+        if dkeys is not None and eidx.size:
+            keys = m.rows[eidx] * m.n_cols + m.cols[eidx]
+            eidx = eidx[~np.isin(keys, dkeys)]
+        rpos = np.full(m.n_rows, -1, dtype=np.int64)
+        cpos = np.full(m.n_cols, -1, dtype=np.int64)
+        rpos[rows] = np.arange(rows.size)
+        cpos[cols] = np.arange(cols.size)
+        local = RatingMatrix(
+            rows.size, cols.size,
+            rpos[m.rows[eidx]], cpos[m.cols[eidx]], m.vals[eidx],
+            row_labels=[m.row_labels[i] for i in rows],
+            col_labels=[m.col_labels[j] for j in cols],
+        )
+        blocks.append(AssembledBlock(rows, cols, local, leaf))
     return blocks
 
 
@@ -661,31 +672,19 @@ def permutation_from_tree(tree):
     """Visual ordering of the tree: child blocks first (recursively), then
     this level's borders; returns old-index -> new-position bijections."""
 
-    def row_order(node):
+    def order(node, own, border):
         if node.is_leaf:
-            return [node.rows]
-        parts = []
-        for ch in node.children:
-            parts.extend(row_order(ch))
-        parts.append(node.row_border)
-        return parts
+            return [getattr(node, own)]
+        return [part for ch in node.children
+                for part in order(ch, own, border)] + [getattr(node, border)]
 
-    def col_order(node):
-        if node.is_leaf:
-            return [node.cols]
-        parts = []
-        for ch in node.children:
-            parts.extend(col_order(ch))
-        parts.append(node.col_border)
-        return parts
+    def perm(own, border, n):
+        p = np.empty(n, dtype=np.int64)
+        p[np.concatenate(order(tree.root, own, border))] = np.arange(n)
+        return p
 
-    rorder = np.concatenate(row_order(tree.root))
-    corder = np.concatenate(col_order(tree.root))
-    rperm = np.empty(tree.n_rows, dtype=np.int64)
-    cperm = np.empty(tree.n_cols, dtype=np.int64)
-    rperm[rorder] = np.arange(tree.n_rows)
-    cperm[corder] = np.arange(tree.n_cols)
-    return IndexPermutation(rperm, cperm)
+    return IndexPermutation(perm("rows", "row_border", tree.n_rows),
+                            perm("cols", "col_border", tree.n_cols))
 
 
 # -- constructive reordering from a community assignment ----------------------------
@@ -738,15 +737,10 @@ def community_tree(m, communities):
     for i, ch in enumerate(children):
         root.children.append(BBDFNode(ch.rows, ch.cols, path=(i,)))
 
-    rowtag = np.full(m.n_rows, -1, dtype=np.int64)
-    coltag = np.full(m.n_cols, -1, dtype=np.int64)
-    for ci, ch in enumerate(root.children):
-        rowtag[ch.rows] = ci
-        coltag[ch.cols] = ci
+    rowtag, coltag = _child_tags(root.children, m.n_rows, m.n_cols)
     tr, tc = rowtag[m.rows], coltag[m.cols]
     cross = (tr >= 0) & (tc >= 0) & (tr != tc)
-    root.dropped = np.stack([m.rows[cross], m.cols[cross]], axis=1) \
-        if cross.any() else np.empty((0, 2), dtype=np.int64)
+    root.dropped = np.stack([m.rows[cross], m.cols[cross]], axis=1)
 
     return BBDFTree(root, "abbdf", 0, 1.0, matrix=m)
 
@@ -785,11 +779,7 @@ def check_tree(tree, m=None):
         assert_partition(node.cols,
                          [c.cols for c in node.children] + [node.col_border],
                          "cols")
-        rowtag = np.full(m.n_rows, -1, dtype=np.int64)
-        coltag = np.full(m.n_cols, -1, dtype=np.int64)
-        for ci, ch in enumerate(node.children):
-            rowtag[ch.rows] = ci
-            coltag[ch.cols] = ci
+        rowtag, coltag = _child_tags(node.children, m.n_rows, m.n_cols)
         er, ec = m.rows[eidx], m.cols[eidx]
         tr, tc = rowtag[er], coltag[ec]
         cross = (tr >= 0) & (tc >= 0) & (tr != tc)
@@ -811,11 +801,7 @@ def check_tree(tree, m=None):
     dropped = tree.dropped_entries()
     assert np.unique(dropped[:, 0] * m.n_cols + dropped[:, 1]).size == \
         dropped.shape[0], "an entry is dropped twice"
-    leaf_rowtag = np.full(m.n_rows, -1, dtype=np.int64)
-    leaf_coltag = np.full(m.n_cols, -1, dtype=np.int64)
-    for li, leaf in enumerate(tree.leaves()):
-        leaf_rowtag[leaf.rows] = li
-        leaf_coltag[leaf.cols] = li
+    leaf_rowtag, leaf_coltag = _child_tags(tree.leaves(), m.n_rows, m.n_cols)
     dmask = np.zeros(m.nnz, dtype=bool)
     if dropped.size:
         keys = m.rows * m.n_cols + m.cols

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bbdf import BBDFNode, BBDFTree, abbdf_permute, assemble_blocks, \
     balanced_permute, bbdf_permute
-from .errors import LMFError, ShapeError
+from .errors import LMFError, RatingFormatError, ShapeError
 from .evaluate import EvalReport, format_report, kfold_split, rmse_arrays, \
     run_benchmark
 from .factorize import FactorizerSpec
@@ -127,77 +128,59 @@ def cmd_fit(args):
     return 0
 
 
-def _label_maps(tree):
-    rmap = {lab: i for i, lab in enumerate(tree.row_ids)}
-    cmap = {lab: j for j, lab in enumerate(tree.col_ids)}
-    return rmap, cmap
+def _records(path, min_fields):
+    """``(lineno, fields)`` per record line of a whitespace-separated file,
+    skipping blank lines and ``#`` comments; a record with fewer than
+    ``min_fields`` fields raises :class:`RatingFormatError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) < min_fields:
+                raise RatingFormatError(
+                    path, lineno,
+                    f"expected at least {min_fields} fields, got {len(fields)}")
+            yield lineno, fields
 
 
 def cmd_predict(args):
     model = LMFModel.load(args.model)
-    rmap, cmap = _label_maps(model.tree)
-    lo, hi = model.value_range
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            u, it = fields[0], fields[1]
-            i, j = rmap.get(u), cmap.get(it)
-            if i is None or j is None:
-                p = model.mu
-                if i is not None:
-                    p += float(model.b_user[i])
-                if j is not None:
-                    p += float(model.b_item[j])
-                p = min(max(p, lo), hi)
-            else:
-                p = model.predict(i, j)
-            out.write(f"{u}\t{it}\t{p:.6f}\n")
+    users, items = [], []
+    for _, fields in _records(args.pairs, 2):
+        users.append(fields[0])
+        items.append(fields[1])
+    pred, _ = model.predict_labels(users, items)
+    lines = (f"{u}\t{it}\t{p:.6f}\n"
+             for u, it, p in zip(users, items, pred.tolist()))
     if args.out:
-        out.close()
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
 
 
 def cmd_eval(args):
     model = LMFModel.load(args.model)
-    rmap, cmap = _label_maps(model.tree)
-    lo, hi = model.value_range
-    truth, pred = [], []
-    fallback = 0
-    known_i, known_j, known_x = [], [], []
-    with open(args.test, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            u, it, x = fields[0], fields[1], float(fields[2])
-            i, j = rmap.get(u), cmap.get(it)
-            if i is None or j is None:
-                p = model.mu
-                if i is not None:
-                    p += float(model.b_user[i])
-                if j is not None:
-                    p += float(model.b_item[j])
-                truth.append(x)
-                pred.append(min(max(p, lo), hi))
-                fallback += 1
-            else:
-                known_i.append(i)
-                known_j.append(j)
-                known_x.append(x)
-    if known_i:
-        p, covered = model.predict_many(np.array(known_i), np.array(known_j))
-        truth.extend(known_x)
-        pred.extend(p.tolist())
-        fallback += int((~covered).sum())
+    users, items, truth = [], [], []
+    for lineno, (user, item, raw, *_) in _records(args.test, 3):
+        try:
+            x = float(raw)
+        except ValueError:
+            raise RatingFormatError(args.test, lineno,
+                                    f"rating {raw!r} is not numeric") from None
+        if not math.isfinite(x):
+            raise RatingFormatError(args.test, lineno,
+                                    f"non-finite rating {raw!r}")
+        users.append(user)
+        items.append(item)
+        truth.append(x)
+    pred, covered = model.predict_labels(users, items)
     score = rmse_arrays(truth, pred)
     report = EvalReport(
         rmse=score, fold_rmse=[score],
-        fallback_fraction=fallback / len(truth) if truth else 0.0,
+        fallback_fraction=float((~covered).mean()),
         wall_times={}, block_stats={"blocks": [model.n_blocks]},
         spec={"algorithm": model.spec.algorithm, "r": model.spec.r},
         mode="eval", extra={"n_test": len(truth)})

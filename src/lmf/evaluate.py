@@ -31,11 +31,8 @@ from .model import fallback_biases, lmf_fit
 
 def rmse(pairs):
     """Root mean squared error over (truth, predicted) pairs."""
-    arr = np.asarray(list(pairs), dtype=np.float64)
-    if arr.size == 0:
-        raise DegenerateInputError("rmse over an empty prediction list")
-    d = arr[:, 0] - arr[:, 1]
-    return float(np.sqrt((d @ d) / d.size))
+    arr = np.asarray(list(pairs), dtype=np.float64).reshape(-1, 2)
+    return rmse_arrays(arr[:, 0], arr[:, 1])
 
 
 def rmse_arrays(truth, pred):

@@ -4,8 +4,10 @@ in parallel), then stitch predictions back together.
 A cell covered by several assembled blocks (it sits in borders shared by
 them) is predicted by the arithmetic mean of the per-block predictions; a
 cell covered by no block falls back to a damped bias model
-``mu + b_user + b_item`` computed from the training entries. The two code
-paths are mutually exclusive: the fallback never fires for covered cells.
+``mu + b_user + b_item`` computed from the training entries, or, with
+``uncovered="cross"``, to the mean over every pair of blocks that holds its
+row and its column. The fallback never fires for covered cells. Every
+prediction goes through :meth:`LMFModel.predict_many`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bbdf import BBDFTree, assemble_blocks, _derive_seed
+from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
 from .errors import LMFError, ShapeError
 from .factorize import (
     FactorPair,
@@ -84,76 +86,93 @@ class LMFModel:
     def n_blocks(self):
         return len(self.pairs)
 
-    def _check_index(self, i, j):
-        if not (0 <= i < self.tree.n_rows and 0 <= j < self.tree.n_cols):
-            raise ShapeError(f"index ({i}, {j}) out of range")
-
-    def coverage_count(self, i, j):
-        """How many assembled blocks contain both indices (possibly 0)."""
-        self._check_index(i, j)
-        return sum(1 for rp, cp in zip(self._rpos, self._cpos)
-                   if rp[i] >= 0 and cp[j] >= 0)
-
-    def _clamp(self, p):
-        lo, hi = self.value_range
-        return min(max(p, lo), hi)
-
-    def predict(self, i, j):
-        """Mean of the covering blocks' predictions, or the bias fallback
-        when nothing covers the cell; clamped to the rating scale."""
-        self._check_index(i, j)
-        total, k = 0.0, 0
-        for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
-            li, lj = rp[i], cp[j]
-            if li >= 0 and lj >= 0:
-                total += float(pair.U[li] @ pair.V[lj])
-                k += 1
-        if k:
-            return self._clamp(total / k)
-        if self.uncovered == "cross":
-            total, k = 0.0, 0
-            for rp, pu in zip(self._rpos, self.pairs):
-                li = rp[i]
-                if li < 0:
-                    continue
-                for cp, pv in zip(self._cpos, self.pairs):
-                    lj = cp[j]
-                    if lj >= 0:
-                        total += float(pu.U[li] @ pv.V[lj])
-                        k += 1
-            if k:
-                return self._clamp(total / k)
-        return self._clamp(self.mu + float(self.b_user[i]) + float(self.b_item[j]))
-
-    def predict_many(self, I, J):
-        """Vectorized :meth:`predict` over parallel index arrays."""
+    def _covering(self, I, J):
+        """Range-check the index arrays; then, per block, its factor pair,
+        the mask of pairs it covers and the local row and col positions
+        (-1 where the block lacks the index)."""
         I = np.asarray(I, dtype=np.int64)
         J = np.asarray(J, dtype=np.int64)
         if I.size and (I.min() < 0 or I.max() >= self.tree.n_rows
                        or J.min() < 0 or J.max() >= self.tree.n_cols):
             raise ShapeError("index out of range")
-        total = np.zeros(I.size)
-        count = np.zeros(I.size, dtype=np.int64)
         for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
             li, lj = rp[I], cp[J]
-            sel = (li >= 0) & (lj >= 0)
+            yield pair, (li >= 0) & (lj >= 0), li, lj
+
+    def coverage_count(self, i, j):
+        """How many assembled blocks contain both indices (possibly 0)."""
+        return sum(int(sel[0]) for _, sel, _, _ in self._covering([i], [j]))
+
+    def predict(self, i, j):
+        """:meth:`predict_many` for a single cell."""
+        return float(self.predict_many([i], [j])[0][0])
+
+    def predict_many(self, I, J):
+        """Predictions for parallel index arrays, clamped to the rating
+        scale, and the mask of cells some block covers.
+
+        A covered cell gets the mean of its covering blocks' predictions.
+        An uncovered cell gets the bias fallback; with ``uncovered="cross"``
+        it gets the mean of ``U_a[i] . V_b[j]`` over every block ``a``
+        holding row ``i`` and every block ``b`` holding column ``j``, which
+        by bilinearity is ``(sum_a U_a[i]) . (sum_b V_b[j]) / (n_a n_b)``,
+        and the bias fallback only when no such pair of blocks exists.
+        """
+        I = np.asarray(I, dtype=np.int64)
+        J = np.asarray(J, dtype=np.int64)
+        total = np.zeros(I.size)
+        count = np.zeros(I.size, dtype=np.int64)
+        for pair, sel, li, lj in self._covering(I, J):
             if sel.any():
-                p = np.einsum("ij,ij->i", pair.U[li[sel]], pair.V[lj[sel]])
-                total[sel] += p
+                total[sel] += np.einsum("ij,ij->i", pair.U[li[sel]],
+                                        pair.V[lj[sel]])
                 count[sel] += 1
         covered = count > 0
         out = np.empty(I.size)
         out[covered] = total[covered] / count[covered]
-        rest = ~covered
-        if rest.any():
+        rest = np.flatnonzero(~covered)
+        if rest.size:
+            Ir, Jr = I[rest], J[rest]
+            out[rest] = self.mu + self.b_user[Ir] + self.b_item[Jr]
             if self.uncovered == "cross":
-                out[rest] = [self.predict(int(i), int(j))
-                             for i, j in zip(I[rest], J[rest])]
-                lo, hi = self.value_range
-                return np.clip(out, lo, hi), covered
-            out[rest] = self.mu + self.b_user[I[rest]] + self.b_item[J[rest]]
+                su = np.zeros((rest.size, self.spec.r))
+                sv = np.zeros((rest.size, self.spec.r))
+                n_a = np.zeros(rest.size, dtype=np.int64)
+                n_b = np.zeros(rest.size, dtype=np.int64)
+                for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
+                    li, lj = rp[Ir], cp[Jr]
+                    a, b = li >= 0, lj >= 0
+                    su[a] += pair.U[li[a]]
+                    sv[b] += pair.V[lj[b]]
+                    n_a += a
+                    n_b += b
+                n = n_a * n_b
+                ok = n > 0
+                out[rest[ok]] = np.einsum("ij,ij->i", su[ok], sv[ok]) / n[ok]
         lo, hi = self.value_range
         return np.clip(out, lo, hi), covered
+
+    def predict_labels(self, users, items):
+        """:meth:`predict_many` over user and item labels.
+
+        A pair with a label the training matrix did not have gets ``mu``
+        plus the bias of whichever label is known, clamped; its ``covered``
+        flag is False. Returns ``(pred, covered)`` in input order.
+        """
+        rmap = {lab: i for i, lab in enumerate(self.tree.row_ids)}
+        cmap = {lab: j for j, lab in enumerate(self.tree.col_ids)}
+        I = np.array([rmap.get(u, -1) for u in users], dtype=np.int64)
+        J = np.array([cmap.get(it, -1) for it in items], dtype=np.int64)
+        known = (I >= 0) & (J >= 0)
+        pred = np.empty(I.size)
+        covered = np.zeros(I.size, dtype=bool)
+        pred[known], covered[known] = self.predict_many(I[known], J[known])
+        Iu, Ju = I[~known], J[~known]
+        p = self.mu + np.where(Iu >= 0, self.b_user[Iu], 0.0) \
+            + np.where(Ju >= 0, self.b_item[Ju], 0.0)
+        lo, hi = self.value_range
+        pred[~known] = np.clip(p, lo, hi)
+        return pred, covered
 
     # -- persistence --------------------------------------------------------
 
@@ -185,9 +204,19 @@ class LMFModel:
         with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         spec = spec_from_dict(manifest["spec"])
+        leaves = list(assembled_indices(tree))
+        if manifest["n_blocks"] != len(leaves):
+            raise ShapeError(f"manifest lists {manifest['n_blocks']} blocks, "
+                             f"the tree has {len(leaves)} leaves")
         pairs = []
-        for k in range(manifest["n_blocks"]):
-            pair, _ = load_factors(os.path.join(directory, f"block_{k:04d}.fac"))
+        for k, (_, rows, cols) in enumerate(leaves):
+            path = os.path.join(directory, f"block_{k:04d}.fac")
+            pair, _ = load_factors(path)
+            want_u, want_v = (rows.size, spec.r), (cols.size, spec.r)
+            if pair.U.shape != want_u or pair.V.shape != want_v:
+                raise ShapeError(f"{path}: factors U {pair.U.shape} and V "
+                                 f"{pair.V.shape}, expected {want_u} and "
+                                 f"{want_v}")
             pairs.append(pair)
         with open(os.path.join(directory, "biases.bin"), "rb") as fh:
             raw = fh.read()
@@ -199,32 +228,12 @@ class LMFModel:
         b = np.frombuffer(raw, dtype="<f8")
         b_user = b[:tree.n_rows].copy()
         b_item = b[tree.n_rows:tree.n_rows + tree.n_cols].copy()
-        block_rows, block_cols = _block_index_sets(tree)
-        return cls(tree, block_rows, block_cols, pairs, manifest["mu"],
+        return cls(tree, [rows for _, rows, _ in leaves],
+                   [cols for _, _, cols in leaves], pairs, manifest["mu"],
                    b_user, b_item, spec, tuple(manifest["value_range"]),
                    timings=manifest.get("timings"),
                    threads=manifest.get("threads", 1),
                    uncovered=manifest.get("uncovered", "bias"))
-
-
-def _block_index_sets(tree):
-    """Assembled index lists per leaf (leaf indices, then ancestor borders
-    nearest-first), computable from the tree alone."""
-    rows_out, cols_out = [], []
-
-    def walk(node, anc_rows, anc_cols):
-        if node.is_leaf:
-            rows = np.concatenate([node.rows] + anc_rows) if anc_rows else node.rows
-            cols = np.concatenate([node.cols] + anc_cols) if anc_cols else node.cols
-            rows_out.append(rows)
-            cols_out.append(cols)
-        else:
-            for ch in node.children:
-                walk(ch, [node.row_border] + anc_rows,
-                     [node.col_border] + anc_cols)
-
-    walk(tree.root, [], [])
-    return rows_out, cols_out
 
 
 def _tag_block_error(exc, block_id):

@@ -304,13 +304,73 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["fit", "--input", str(non_finite), "--algo", "svd",
                      "--factors", "2", "--out", str(tmp_path / "m0")]) == 2
 
-    # divergence -> exit 3
+    # malformed lines in the files `lmf predict` and `lmf eval` read
+    model = tmp_path / "ok_model"
     data = tmp_path / "ok.tsv"
     _write_ratings_file(data, _bench_matrix())
+    assert cli_main(["fit", "--input", str(data), "--algo", "svd",
+                     "--factors", "2", "--iters", "3", "--out", str(model)]) == 0
+    short_pair = tmp_path / "short_pair.tsv"
+    short_pair.write_text("u0 i1\nu0\n")
+    short_rating = tmp_path / "short_rating.tsv"
+    short_rating.write_text("u0 i1 4\nu0 i2\n")
+    nan_rating = tmp_path / "nan_rating.tsv"
+    nan_rating.write_text("u0 i1 4\nu0 i2 nan\n")
+    word_rating = tmp_path / "word_rating.tsv"
+    word_rating.write_text("u0 i1 4\nu0 i2 five\n")
+    capsys.readouterr()
+    assert cli_main(["predict", "--model", str(model),
+                     "--pairs", str(short_pair)]) == 2
+    assert f"{short_pair}:2:" in capsys.readouterr().err
+    for bad_test in (short_rating, nan_rating, word_rating):
+        assert cli_main(["eval", "--model", str(model),
+                         "--test", str(bad_test)]) == 2
+        assert f"{bad_test}:2:" in capsys.readouterr().err
+
+    # divergence -> exit 3
     rc = cli_main(["fit", "--input", str(data), "--algo", "pmf",
                    "--factors", "4", "--learning-rate", "99.0",
                    "--iters", "30", "--out", str(tmp_path / "m")])
     assert rc == 3
+
+
+def test_predict_labels_and_cli_fall_back_on_unknown_labels(tmp_path, capsys):
+    from lmf import lmf_fit
+    from test_lmf import SPEC, bordered_matrix, bordered_tree
+
+    m = bordered_matrix(np.random.default_rng(4))
+    model = lmf_fit(bordered_tree(m), m, SPEC)
+    model.save(tmp_path / "model")
+    lo, hi = model.value_range
+    users = ["0", "nobody", "4", "nobody", "0"]
+    items = ["0", "3", "ghost", "ghost", "2"]
+    pred, covered = model.predict_labels(users, items)
+    assert covered.tolist() == [True, False, False, False, False]
+    assert pred[0] == model.predict_many([0], [0])[0][0]
+    assert pred[1] == np.clip(model.mu + model.b_item[3], lo, hi)
+    assert pred[2] == np.clip(model.mu + model.b_user[4], lo, hi)
+    assert pred[3] == np.clip(model.mu, lo, hi)
+    assert pred[4] == model.predict(0, 2)  # known labels, uncovered cell
+
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("# user item\n" + "".join(
+        f"{u}\t{it}\n" for u, it in zip(users, items)) + "\n")
+    out = tmp_path / "pred.tsv"
+    assert cli_main(["predict", "--model", str(tmp_path / "model"),
+                     "--pairs", str(pairs), "--out", str(out)]) == 0
+    lines = [line.split("\t") for line in out.read_text().splitlines()]
+    assert [(u, it) for u, it, _ in lines] == list(zip(users, items))
+    assert np.allclose([float(p) for *_, p in lines], pred, rtol=0, atol=5e-7)
+
+    test = tmp_path / "test.tsv"
+    test.write_text("".join(f"{u} {it} 3\n" for u, it in zip(users, items)))
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", str(tmp_path / "model"),
+                     "--test", str(test)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # three lines with an unknown label plus the uncovered cell (0, 2)
+    assert doc["fallback_fraction"] == pytest.approx(4 / 5)
+    assert doc["rmse"] == pytest.approx(rmse_arrays(np.full(5, 3.0), pred))
 
 
 def test_cli_fit_rejects_mismatched_tree(tmp_path):

@@ -1,4 +1,5 @@
 import ctypes
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -9,15 +10,18 @@ import pytest
 from lmf import (
     BBDFNode,
     BBDFTree,
+    FactorPair,
     FactorizerSpec,
     LMFModel,
     RatingMatrix,
     balanced_permute,
+    check_tree,
     coverage_count,
     factorize,
     lmf_fit,
     lmf_predict,
     predict_entry,
+    save_factors,
 )
 from lmf.errors import DomainError, ShapeError
 from lmf.model import _single_blas_thread, fallback_biases
@@ -297,6 +301,102 @@ def test_cross_block_fallback_option():
     lo, hi = model.value_range
     assert model.predict(0, 2) == pytest.approx(min(max(raw, lo), hi),
                                                 abs=1e-12)
+
+
+def nested_tree(m):
+    """Depth-2 tree over 14x14: root border {12,13}; child A (0..7) with
+    border {6,7} over leaves {0,1,2} and {3,4,5}; leaf B (8..11)."""
+    def leaf(lo, hi, path):
+        return BBDFNode(np.arange(lo, hi), np.arange(lo, hi), path=path)
+
+    a = leaf(0, 8, (0,))
+    a.row_border = a.col_border = np.array([6, 7])
+    a.children = [leaf(0, 3, (0, 0)), leaf(3, 6, (0, 1))]
+    root = leaf(0, 14, ())
+    root.row_border = root.col_border = np.array([12, 13])
+    root.children = [a, leaf(8, 12, (1,))]
+    return BBDFTree(root, "bbdf", 0, 1.0, matrix=m)
+
+
+def nested_matrix(rng):
+    """Random entries inside the assembled blocks of :func:`nested_tree`."""
+    allowed = np.zeros((14, 14), dtype=bool)
+    for rows, cols in ([0, 1, 2, 6, 7, 12, 13],) * 2, \
+            ([3, 4, 5, 6, 7, 12, 13],) * 2, ([8, 9, 10, 11, 12, 13],) * 2:
+        allowed[np.ix_(rows, cols)] = True
+    r, c = np.nonzero(allowed & (rng.random((14, 14)) < 0.8))
+    return RatingMatrix(14, 14, r, c, rng.integers(1, 6, r.size).astype(float))
+
+
+def cross_reference(model, i, j):
+    """Pairwise mean of U_a[i] . V_b[j] over every block a holding row i
+    and every block b holding column j, else the bias fallback; clamped."""
+    total, k = 0.0, 0
+    for rows_a, pu in zip(model.block_rows, model.pairs):
+        if i not in rows_a:
+            continue
+        li = int(np.nonzero(rows_a == i)[0][0])
+        for cols_b, pv in zip(model.block_cols, model.pairs):
+            if j in cols_b:
+                lj = int(np.nonzero(cols_b == j)[0][0])
+                total += float(pu.U[li] @ pv.V[lj])
+                k += 1
+    p = total / k if k else model.mu + model.b_user[i] + model.b_item[j]
+    lo, hi = model.value_range
+    return min(max(p, lo), hi), k
+
+
+def test_cross_fallback_equals_pairwise_mean_on_nested_tree():
+    rng = np.random.default_rng(13)
+    m = nested_matrix(rng)
+    tree = nested_tree(m)
+    check_tree(tree, m)
+    model = lmf_fit(tree, m, SPEC, uncovered="cross")
+    I, J = np.divmod(np.arange(14 * 14), 14)
+    pred, covered = model.predict_many(I, J)
+    pair_counts = []
+    for t in np.flatnonzero(~covered):
+        expect, k = cross_reference(model, int(I[t]), int(J[t]))
+        assert abs(pred[t] - expect) <= 1e-12
+        assert model.predict(int(I[t]), int(J[t])) == pred[t]
+        pair_counts.append(k)
+    assert max(pair_counts) >= 2  # e.g. (6, 9): rows of both A leaves x B
+    assert not covered[6 * 14 + 9]
+    assert covered.sum() == sum(model.coverage_count(i, j) > 0
+                                for i, j in zip(I, J))
+
+
+def _saved_model(tmp_path):
+    rng = np.random.default_rng(9)
+    m = planted_blocks(rng, [(9, 10), (8, 9)], 0.5, bridge_rows=1)
+    tree, _ = balanced_permute(m, 0.5, seed=4)
+    model = lmf_fit(tree, m, SPEC)
+    model.save(tmp_path / "model")
+    return model, tmp_path / "model"
+
+
+def test_load_rejects_reshaped_factor_file(tmp_path):
+    model, d = _saved_model(tmp_path)
+    pair = model.pairs[0]
+    save_factors(d / "block_0000.fac",
+                 FactorPair(pair.U[:5].copy(), pair.V), model.spec)
+    with pytest.raises(ShapeError) as err:
+        LMFModel.load(d)
+    assert err.value.exit_code == 2 and "block_0000.fac" in str(err.value)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_load_rejects_wrong_block_count(tmp_path, delta):
+    model, d = _saved_model(tmp_path)
+    if delta > 0:  # a stray extra factor file does not make the count right
+        save_factors(d / f"block_{model.n_blocks:04d}.fac", model.pairs[0],
+                     model.spec)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["n_blocks"] += delta
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ShapeError) as err:
+        LMFModel.load(d)
+    assert err.value.exit_code == 2 and "leaves" in str(err.value)
 
 
 def test_block_error_tagged_with_block_id():
