@@ -59,6 +59,13 @@ class ShapeError(LMFError):
     exit_code = 2
 
 
+class MissingLabelsError(LMFError):
+    """Labels asked of a model whose tree carries no row or column labels
+    (built from ``n_rows``/``n_cols`` instead of a labelled matrix)."""
+
+    exit_code = 2
+
+
 class TooSmallError(LMFError):
     """Graph too small to bisect (fewer than two nodes)."""
 

@@ -451,12 +451,16 @@ def load_factors(path):
         magic, version, algo, r, n_rows, n_cols, n_th = _HEADER.unpack(raw)
         if magic != _MAGIC or version != _VERSION:
             raise ShapeError(f"{path}: not a factor file")
-        U = np.frombuffer(fh.read(8 * n_rows * r), dtype="<f8").reshape(n_rows, r)
-        V = np.frombuffer(fh.read(8 * n_cols * r), dtype="<f8").reshape(n_cols, r)
-        th = None
-        if n_th:
-            th = np.frombuffer(fh.read(8 * n_rows * n_th),
-                               dtype="<f8").reshape(n_rows, n_th)
+        data = fh.read()
+    n_u, n_v = n_rows * r, n_cols * r
+    expected = 8 * (n_u + n_v + n_rows * n_th)
+    if len(data) != expected:
+        raise ShapeError(f"{path}: {len(data)} bytes of factors, the header "
+                         f"needs {expected}")
+    body = np.frombuffer(data, dtype="<f8")
+    U = body[:n_u].reshape(n_rows, r)
+    V = body[n_u:n_u + n_v].reshape(n_cols, r)
+    th = body[n_u + n_v:].reshape(n_rows, n_th) if n_th else None
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     spec = spec_from_dict(sidecar["spec"])

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
-from .errors import LMFError, ShapeError
+from .errors import LMFError, MissingLabelsError, ShapeError
 from .factorize import (
     FactorPair,
     factorize,
@@ -157,8 +157,12 @@ class LMFModel:
 
         A pair with a label the training matrix did not have gets ``mu``
         plus the bias of whichever label is known, clamped; its ``covered``
-        flag is False. Returns ``(pred, covered)`` in input order.
+        flag is False. Returns ``(pred, covered)`` in input order. Raises
+        :class:`MissingLabelsError` when the tree has no labels.
         """
+        if self.tree.row_ids is None or self.tree.col_ids is None:
+            raise MissingLabelsError("the model's tree has no row or column "
+                                     "labels to predict by")
         rmap = {lab: i for i, lab in enumerate(self.tree.row_ids)}
         cmap = {lab: j for j, lab in enumerate(self.tree.col_ids)}
         I = np.array([rmap.get(u, -1) for u in users], dtype=np.int64)
@@ -211,7 +215,12 @@ class LMFModel:
         pairs = []
         for k, (_, rows, cols) in enumerate(leaves):
             path = os.path.join(directory, f"block_{k:04d}.fac")
-            pair, _ = load_factors(path)
+            pair, block_spec = load_factors(path)
+            if block_spec != spec:
+                want, got = spec_to_dict(spec), spec_to_dict(block_spec)
+                fields = [f for f in want if want[f] != got[f]]
+                raise ShapeError(f"{path}: sidecar spec differs from the "
+                                 f"manifest spec in {', '.join(fields)}")
             want_u, want_v = (rows.size, spec.r), (cols.size, spec.r)
             if pair.U.shape != want_u or pair.V.shape != want_v:
                 raise ShapeError(f"{path}: factors U {pair.U.shape} and V "

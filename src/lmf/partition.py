@@ -29,6 +29,7 @@ from .errors import NoSplitError, TooSmallError
 
 COARSE_TARGET = 200  # stop coarsening once at or below this many nodes
 _FM_MAX_PASSES = 12
+_FM_STALL = 100  # end an FM pass this many moves after its best prefix
 _INIT_TRIES = 4
 _BISECT_TRIES = 2
 
@@ -221,13 +222,17 @@ def _grow_from_seed(level, seed_node, cap, total_w):
 
 
 def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
-    """Boundary Fiduccia-Mattheyses refinement with a lazy gain heap."""
+    """Boundary Fiduccia-Mattheyses refinement with a lazy gain heap.
+
+    A pass ends once ``_FM_STALL`` consecutive moves set no new best
+    ``(cut, imbalance)``, and rolls back to its best prefix. The move loop
+    runs on plain Python ints and lists, which index far faster than
+    numpy scalars; ``side`` is updated in place and returned."""
     n = level.n
     xadj, adjncy, adjwgt, vwgt = level.xadj, level.adjncy, level.adjwgt, level.vwgt
     total_w = int(vwgt.sum())
     cap = _part_cap(total_w, vwgt.max() if n else 1, tol)
-    part_w = np.array([int(vwgt[side == 0].sum()), int(vwgt[side == 1].sum())])
-    part_n = np.array([int((side == 0).sum()), int((side == 1).sum())])
+    xa, adj, aw, vw = xadj.tolist(), adjncy.tolist(), adjwgt.tolist(), vwgt.tolist()
 
     deg = np.diff(xadj)
     src = np.repeat(np.arange(n), deg)
@@ -236,51 +241,47 @@ def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
         same = side[src] == side[adjncy]
         internal = np.bincount(src, weights=np.where(same, adjwgt, 0), minlength=n)
         external = np.bincount(src, weights=np.where(same, 0, adjwgt), minlength=n)
-        gain = (external - internal).astype(np.int64)
-        cut = int(external.sum()) // 2
+        gain = (external - internal).astype(np.int64).tolist()
+        cur_cut = best_cut = int(external.sum()) // 2
+        sd = side.tolist()
+        w1, n1 = int(vwgt[side == 1].sum()), int(side.sum())
+        part_w, part_n = [total_w - w1, w1], [n - n1, n1]
 
-        locked = np.zeros(n, dtype=bool)
-        heap = [(-gain[v], v) for v in range(n) if external[v] > 0]
+        locked = [False] * n
+        heap = [(-gain[v], v) for v in np.flatnonzero(external > 0).tolist()]
         heapq.heapify(heap)
         moves = []
-        best_cut, best_k = cut, 0
-        best_imb = abs(part_w[0] - part_w[1])
-        cur_cut = cut
+        best_k, best_imb = 0, abs(part_w[0] - part_w[1])
 
-        while heap:
+        while heap and len(moves) - best_k < _FM_STALL:
             ng, v = heapq.heappop(heap)
             if locked[v] or -ng != gain[v]:
                 continue
-            s = side[v]
-            t = 1 - s
-            if part_n[s] <= 1 or part_w[t] + vwgt[v] > cap:
-                locked[v] = True
-                continue
-            side[v] = t
             locked[v] = True
-            part_w[s] -= vwgt[v]
-            part_w[t] += vwgt[v]
+            s = sd[v]
+            t = 1 - s
+            if part_n[s] <= 1 or part_w[t] + vw[v] > cap:
+                continue
+            sd[v] = t
+            part_w[s] -= vw[v]
+            part_w[t] += vw[v]
             part_n[s] -= 1
             part_n[t] += 1
-            cur_cut -= int(gain[v])
+            cur_cut -= gain[v]
             moves.append(v)
-            lo, hi = xadj[v], xadj[v + 1]
-            for u, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+            for e in range(xa[v], xa[v + 1]):
+                u = adj[e]
                 if locked[u]:
                     continue
-                gain[u] += 2 * w if side[u] == s else -2 * w
+                gain[u] += 2 * aw[e] if sd[u] == s else -2 * aw[e]
                 heapq.heappush(heap, (-gain[u], u))
             imb = abs(part_w[0] - part_w[1])
             if cur_cut < best_cut or (cur_cut == best_cut and imb < best_imb):
                 best_cut, best_k, best_imb = cur_cut, len(moves), imb
 
         for v in moves[best_k:]:
-            s = side[v]
-            side[v] = 1 - s
-            part_w[s] -= vwgt[v]
-            part_w[1 - s] += vwgt[v]
-            part_n[s] -= 1
-            part_n[1 - s] += 1
+            sd[v] = 1 - sd[v]
+        side[:] = sd
         if best_k == 0:
             break
     return side

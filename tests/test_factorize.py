@@ -419,6 +419,19 @@ def test_factor_file_round_trip(tmp_path):
     assert spec2.algorithm == "mmmf_fast" and spec2.r == 4
 
 
+@pytest.mark.parametrize("cut", [3, 16])
+def test_factor_file_rejects_truncation(tmp_path, cut):
+    rng = np.random.default_rng(15)
+    r, c, v = random_block(rng, 6, 7, 0.6)
+    spec = FactorizerSpec(algorithm="svd_als", r=3, max_iters=4, seed=1)
+    path = tmp_path / "block.fac"
+    save_factors(path, factorize(RatingMatrix(6, 7, r, c, v), spec), spec)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ShapeError) as err:
+        load_factors(path)
+    assert err.value.exit_code == 2 and "bytes" in str(err.value)
+
+
 def test_factor_file_rejects_garbage(tmp_path):
     p = tmp_path / "x.fac"
     p.write_bytes(b"not a factor file at all.....")

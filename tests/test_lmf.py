@@ -23,7 +23,7 @@ from lmf import (
     predict_entry,
     save_factors,
 )
-from lmf.errors import DomainError, ShapeError
+from lmf.errors import DomainError, MissingLabelsError, ShapeError
 from lmf.model import _single_blas_thread, fallback_biases
 
 from conftest import planted_blocks
@@ -383,6 +383,31 @@ def test_load_rejects_reshaped_factor_file(tmp_path):
     with pytest.raises(ShapeError) as err:
         LMFModel.load(d)
     assert err.value.exit_code == 2 and "block_0000.fac" in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [("r", 7), ("algorithm", "nmf")])
+def test_load_rejects_sidecar_spec_unlike_manifest(tmp_path, field, value):
+    _, d = _saved_model(tmp_path)
+    side = d / "block_0001.fac.json"
+    doc = json.loads(side.read_text())
+    doc["spec"][field] = value
+    side.write_text(json.dumps(doc))
+    with pytest.raises(ShapeError) as err:
+        LMFModel.load(d)
+    assert err.value.exit_code == 2
+    assert "block_0001.fac" in str(err.value) and field in str(err.value)
+
+
+def test_predict_labels_on_unlabelled_tree_raises(tmp_path):
+    rng = np.random.default_rng(16)
+    m = planted_blocks(rng, [(5, 5)], 0.6)
+    root = BBDFNode(np.arange(5), np.arange(5))
+    tree = BBDFTree(root, "bbdf", 0, 1.0, n_rows=5, n_cols=5)
+    model = lmf_fit(tree, m, SPEC)
+    assert model.predict_many([0], [1])[1].all()
+    with pytest.raises(MissingLabelsError) as err:
+        model.predict_labels(["0"], ["1"])
+    assert err.value.exit_code == 2
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

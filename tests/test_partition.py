@@ -1,11 +1,19 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
-from lmf import gpes_bisect, gpvs_bisect, to_bipartite
+from lmf import gpes_bisect, gpvs_bisect, partition, to_bipartite
 from lmf.errors import NoSplitError, TooSmallError
-from lmf.partition import BipartiteGraph
+from lmf.partition import (
+    BipartiteGraph,
+    _contract,
+    _cut_value,
+    _heavy_edge_matching,
+    _level_from_graph,
+    _part_cap,
+)
 
 from conftest import figure_bridge_matrix
 
@@ -277,3 +285,107 @@ def test_planted_two_community_recovery():
         total_nodes += g.n_nodes
         matched_nodes += agree
     assert matched_nodes / total_nodes >= 0.9
+
+
+# -- FM refinement kernel ---------------------------------------------------------------
+
+def _fm_reference(level, side, tol, max_passes=12):
+    """The numpy-scalar FM pass with no stall bound, kept as the reference
+    that the plain-int kernel must reproduce when no pass is bounded."""
+    n = level.n
+    xadj, adjncy, adjwgt, vwgt = level.xadj, level.adjncy, level.adjwgt, level.vwgt
+    total_w = int(vwgt.sum())
+    cap = _part_cap(total_w, vwgt.max() if n else 1, tol)
+    part_w = np.array([int(vwgt[side == 0].sum()), int(vwgt[side == 1].sum())])
+    part_n = np.array([int((side == 0).sum()), int((side == 1).sum())])
+    deg = np.diff(xadj)
+    src = np.repeat(np.arange(n), deg)
+    for _ in range(max_passes):
+        same = side[src] == side[adjncy]
+        internal = np.bincount(src, weights=np.where(same, adjwgt, 0), minlength=n)
+        external = np.bincount(src, weights=np.where(same, 0, adjwgt), minlength=n)
+        gain = (external - internal).astype(np.int64)
+        cut = int(external.sum()) // 2
+        locked = np.zeros(n, dtype=bool)
+        heap = [(-gain[v], v) for v in range(n) if external[v] > 0]
+        heapq.heapify(heap)
+        moves = []
+        best_cut, best_k = cut, 0
+        best_imb = abs(part_w[0] - part_w[1])
+        cur_cut = cut
+        while heap:
+            ng, v = heapq.heappop(heap)
+            if locked[v] or -ng != gain[v]:
+                continue
+            s = side[v]
+            t = 1 - s
+            if part_n[s] <= 1 or part_w[t] + vwgt[v] > cap:
+                locked[v] = True
+                continue
+            side[v] = t
+            locked[v] = True
+            part_w[s] -= vwgt[v]
+            part_w[t] += vwgt[v]
+            part_n[s] -= 1
+            part_n[t] += 1
+            cur_cut -= int(gain[v])
+            moves.append(v)
+            lo, hi = xadj[v], xadj[v + 1]
+            for u, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+                if locked[u]:
+                    continue
+                gain[u] += 2 * w if side[u] == s else -2 * w
+                heapq.heappush(heap, (-gain[u], u))
+            imb = abs(part_w[0] - part_w[1])
+            if cur_cut < best_cut or (cur_cut == best_cut and imb < best_imb):
+                best_cut, best_k, best_imb = cur_cut, len(moves), imb
+        for v in moves[best_k:]:
+            s = side[v]
+            side[v] = 1 - s
+            part_w[s] -= vwgt[v]
+            part_w[1 - s] += vwgt[v]
+            part_n[s] -= 1
+            part_n[1 - s] += 1
+        if best_k == 0:
+            break
+    return side
+
+
+def _fm_cases(seed, count):
+    """Seeded random levels (unit weights, and one heavy-edge contraction
+    of each, which carries node and edge weights) with a random start
+    side whose parts each hold at most half the weight plus one node."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nr, nc = int(rng.integers(20, 160)), int(rng.integers(20, 160))
+        nnz = int(rng.integers(nr + nc, 4 * (nr + nc)))
+        pairs = {(int(rng.integers(nr)), int(rng.integers(nc))) for _ in range(nnz)}
+        fine = _level_from_graph(graph(nr, nc, sorted(pairs)))
+        for level in (fine, _contract(fine, _heavy_edge_matching(fine, rng))[1]):
+            order = rng.permutation(level.n)
+            first = np.cumsum(level.vwgt[order]) <= level.vwgt.sum() / 2
+            side = np.ones(level.n, dtype=np.int8)
+            side[order[first]] = 0
+            side[order[0]] = 0
+            yield level, side, float(rng.choice([0.05, 0.2, 0.5]))
+
+
+def test_fm_refine_equals_numpy_reference_when_unbounded(monkeypatch):
+    monkeypatch.setattr(partition, "_FM_STALL", 10 ** 9)
+    for level, side, tol in _fm_cases(31, 30):
+        want = _fm_reference(level, side.copy(), tol)
+        got = partition._fm_refine(level, side.copy(), tol)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stall", [1, 5, 100])
+def test_fm_refine_bounded_never_worsens_cut_or_balance(monkeypatch, stall):
+    monkeypatch.setattr(partition, "_FM_STALL", stall)
+    for level, side, tol in _fm_cases(47, 20):
+        before = _cut_value(level, side)
+        out = partition._fm_refine(level, side.copy(), tol)
+        cap = _part_cap(int(level.vwgt.sum()), level.vwgt.max(), tol)
+        assert _cut_value(level, out) <= before
+        for k in (0, 1):
+            assert (out == k).any()
+            assert int(level.vwgt[out == k].sum()) <= cap
