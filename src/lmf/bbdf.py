@@ -92,17 +92,7 @@ class BBDFTree:
         self.rounds = rounds
 
     def leaves(self):
-        out = []
-
-        def walk(node):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                for ch in node.children:
-                    walk(ch)
-
-        walk(self.root)
-        return out
+        return [node for node in self.nodes() if node.is_leaf]
 
     def nodes(self):
         out = []
@@ -611,6 +601,21 @@ def balanced_permute(m, target_density, seed=0, balance_tol=0.2,
     tree = BBDFTree(root, "balanced", seed, target_density, matrix=m,
                     rounds=rounds)
     return tree, rounds
+
+
+def _permute(m, mode, target_density, seed=0, balance_tol=0.2):
+    """The tree of the ``balanced``, ``bbdf`` or ``abbdf`` reordering of
+    ``m``; only a balanced tree carries ``rounds``."""
+    if mode == "balanced":
+        return balanced_permute(m, target_density, seed=seed,
+                                balance_tol=balance_tol)[0]
+    if mode == "bbdf":
+        return bbdf_permute(m, target_density, seed=seed,
+                            balance_tol=balance_tol)
+    if mode == "abbdf":
+        return abbdf_permute(m, target_density, seed=seed,
+                             balance_tol=balance_tol)
+    raise ValueError(f"unknown permute mode {mode!r}")
 
 
 # -- stitching -------------------------------------------------------------------

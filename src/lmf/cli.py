@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from .bbdf import BBDFNode, BBDFTree, abbdf_permute, assemble_blocks, \
-    balanced_permute, bbdf_permute
+from .bbdf import BBDFNode, BBDFTree, _permute, assemble_blocks
 from .errors import LMFError, RatingFormatError, ShapeError
 from .evaluate import EvalReport, format_report, kfold_split, rmse_arrays, \
     run_benchmark
@@ -62,15 +61,8 @@ def cmd_split(args):
 
 def cmd_permute(args):
     m = load_ratings(args.input)
-    if args.mode == "balanced":
-        tree, rounds = balanced_permute(m, args.target_density, seed=args.seed,
-                                        balance_tol=args.balance_tol)
-    elif args.mode == "bbdf":
-        tree = bbdf_permute(m, args.target_density, seed=args.seed,
-                            balance_tol=args.balance_tol)
-    else:
-        tree = abbdf_permute(m, args.target_density, seed=args.seed,
-                             balance_tol=args.balance_tol)
+    tree = _permute(m, args.mode, args.target_density, seed=args.seed,
+                    balance_tol=args.balance_tol)
     tree.save(args.out)
     print(f"{args.mode}: {len(tree.leaves())} blocks -> {args.out}")
     return 0

@@ -13,18 +13,18 @@ import contextlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bbdf import abbdf_permute, balanced_permute, bbdf_permute
+from .bbdf import _permute
 from .errors import (
     DegenerateInputError,
     LMFError,
     ShapeError,
     UndefinedMetricError,
 )
-from .factorize import FactorizerSpec, factorize, spec_to_dict
+from .factorize import FactorizerSpec, factorize, spec_from_dict, spec_to_dict
 from .matrix import RatingMatrix, load_ratings
 from .model import fallback_biases, lmf_fit
 
@@ -129,12 +129,6 @@ class EvalReport:
         return json.dumps(doc, **kw)
 
 
-_PERMUTERS = {
-    "bbdf": bbdf_permute,
-    "abbdf": abbdf_permute,
-}
-
-
 @contextlib.contextmanager
 def _stage(name, fold):
     """Tag errors escaping a benchmark stage with where they happened."""
@@ -147,13 +141,9 @@ def _stage(name, fold):
 
 
 def _spec_from_config(config):
-    algo = config["algorithm"]
-    kw = {"algorithm": algo}
-    for key in ("r", "reg", "reg_user", "reg_item", "margin_c",
-                "learning_rate", "max_iters", "convergence_tol", "seed"):
-        if key in config:
-            kw[key] = config[key]
-    return FactorizerSpec(**kw).validate()
+    names = {f.name for f in fields(FactorizerSpec)}
+    return spec_from_dict({k: v for k, v in config.items()
+                           if k in names}).validate()
 
 
 def _predict_baseline(pair, I, J, clamp):
@@ -220,14 +210,10 @@ def run_benchmark(config):
             with _stage("permute", fold):
                 if shared_trees is not None:
                     tree = shared_trees[fold]
-                    if tree.rounds:
-                        stats["fchr"].append(fchr(tree.rounds))
-                elif permute_mode == "balanced":
-                    tree, rounds = balanced_permute(m_tr, target, seed=seed)
-                    if rounds:
-                        stats["fchr"].append(fchr(rounds))
                 else:
-                    tree = _PERMUTERS[permute_mode](m_tr, target, seed=seed)
+                    tree = _permute(m_tr, permute_mode, target, seed=seed)
+                if tree.rounds:
+                    stats["fchr"].append(fchr(tree.rounds))
             times["permute"].append(time.perf_counter() - t0)
 
             with _stage("fit", fold):

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -112,13 +113,17 @@ def _sse(m, U, V):
     return float(d @ d)
 
 
+# Each algorithm is an epoch builder ``(m, spec, rng, sample_order) -> sweep``
+# and an objective ``(m, spec, U, V, thresholds) -> float``. ``sweep(U, V)``
+# runs one epoch in place and returns the thresholds (mmmf_fast) or None.
+
 # -- svd_als -------------------------------------------------------------------
 
-def _als_objective(m, U, V, reg):
+def _als_objective(m, spec, U, V, thresholds):
     nr_w = m.row_counts().astype(np.float64)
     nc_w = m.col_counts().astype(np.float64)
     pen = (nr_w * (U * U).sum(axis=1)).sum() + (nc_w * (V * V).sum(axis=1)).sum()
-    return _sse(m, U, V) + reg * float(pen)
+    return _sse(m, U, V) + spec.reg * float(pen)
 
 
 def _als_half_sweep(target, fixed, ptr_get_idx, ptr_get_val, n, r, reg):
@@ -138,54 +143,26 @@ def _als_half_sweep(target, fixed, ptr_get_idx, ptr_get_val, n, r, reg):
             target[i] = np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def _fit_svd_als(m, spec, init, hook):
-    rng = np.random.default_rng(spec.seed)
-    r = spec.r
-    if init is None:
-        U = rng.standard_normal((m.n_rows, r)) / np.sqrt(r)
-        V = rng.standard_normal((m.n_cols, r)) / np.sqrt(r)
-    else:
-        U, V = init[0].copy(), init[1].copy()
-    history = []
-    for it in range(spec.max_iters):
-        _als_half_sweep(U, V, m.row_cols, m.row_vals, m.n_rows, r, spec.reg)
-        _als_half_sweep(V, U, m.col_rows, m.col_vals, m.n_cols, r, spec.reg)
-        obj = _als_objective(m, U, V, spec.reg)
-        _check_finite(obj, it)
-        history.append(obj)
-        if hook is not None:
-            hook(it, U, V)
-        if _converged(history, spec.convergence_tol):
-            break
-    return FactorPair(U, V, final_objective=history[-1], history=history)
+def _als_epoch(m, spec, rng, sample_order):
+    def sweep(U, V):
+        _als_half_sweep(U, V, m.row_cols, m.row_vals, m.n_rows, spec.r, spec.reg)
+        _als_half_sweep(V, U, m.col_rows, m.col_vals, m.n_cols, spec.r, spec.reg)
+    return sweep
 
 
 # -- nmf ----------------------------------------------------------------------
 
-def _nmf_objective(m, U, V, reg):
-    return _sse(m, U, V) + reg * (float((U * U).sum()) + float((V * V).sum()))
+def _nmf_objective(m, spec, U, V, thresholds):
+    return _sse(m, U, V) + spec.reg * (float((U * U).sum()) + float((V * V).sum()))
 
 
-def _fit_nmf(m, spec, init, hook):
-    if m.vals.min() < 0:
-        raise DomainError("nmf requires nonnegative values")
-    rng = np.random.default_rng(spec.seed)
-    r = spec.r
-    if init is None:
-        U = rng.uniform(0.0, 1.0 / np.sqrt(r), (m.n_rows, r))
-        V = rng.uniform(0.0, 1.0 / np.sqrt(r), (m.n_cols, r))
-    else:
-        U, V = init[0].copy(), init[1].copy()
-        if U.min() < 0 or V.min() < 0:
-            raise DomainError("nmf initialization must be nonnegative")
-
+def _nmf_epoch(m, spec, rng, sample_order):
     X = csr_matrix((m.vals, m.cols, m._row_ptr), shape=m.shape)
     t_vals = m.vals[m._col_order]
     t_rows = m.rows[m._col_order]
     Xt = csr_matrix((t_vals, t_rows, m._col_ptr), shape=(m.n_cols, m.n_rows))
 
-    history = []
-    for it in range(spec.max_iters):
+    def sweep(U, V):
         pred = np.einsum("ij,ij->i", U[m.rows], V[m.cols])
         P = csr_matrix((pred, m.cols, m._row_ptr), shape=m.shape)
         U *= (X @ V) / (P @ V + spec.reg * U + _EPS)
@@ -194,38 +171,23 @@ def _fit_nmf(m, spec, init, hook):
         Pt = csr_matrix((pred[m._col_order], t_rows, m._col_ptr),
                         shape=(m.n_cols, m.n_rows))
         V *= (Xt @ U) / (Pt @ U + spec.reg * V + _EPS)
-
-        obj = _nmf_objective(m, U, V, spec.reg)
-        _check_finite(obj, it)
-        history.append(obj)
-        if hook is not None:
-            hook(it, U, V)
-        if _converged(history, spec.convergence_tol):
-            break
-    return FactorPair(U, V, final_objective=history[-1], history=history)
+    return sweep
 
 
 # -- pmf (MAP by sgd) ----------------------------------------------------------
 
-def _pmf_objective(m, U, V, reg_u, reg_v):
-    return (_sse(m, U, V)
-            + reg_u * float((U * U).sum()) + reg_v * float((V * V).sum()))
+def _pmf_objective(m, spec, U, V, thresholds):
+    return (_sse(m, U, V) + spec.reg_user * float((U * U).sum())
+            + spec.reg_item * float((V * V).sum()))
 
 
-def _fit_pmf_sgd(m, spec, init, hook, sample_order):
-    rng = np.random.default_rng(spec.seed)
-    r = spec.r
-    if init is None:
-        U = rng.standard_normal((m.n_rows, r)) / np.sqrt(r)
-        V = rng.standard_normal((m.n_cols, r)) / np.sqrt(r)
-    else:
-        U, V = init[0].copy(), init[1].copy()
+def _pmf_epoch(m, spec, rng, sample_order):
     lr, ru, rv = spec.learning_rate, spec.reg_user, spec.reg_item
     rows, cols, vals = m.rows, m.cols, m.vals
-    history = []
-    for it in range(spec.max_iters):
+
+    def sweep(U, V):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
-        # overflow shows up as a non-finite objective below
+        # overflow shows up as a non-finite objective
         with np.errstate(over="ignore", invalid="ignore"):
             for t in order:
                 i, j = rows[t], cols[t]
@@ -234,14 +196,7 @@ def _fit_pmf_sgd(m, spec, init, hook, sample_order):
                 e = vals[t] - ui @ vj
                 U[i] = ui + lr * (e * vj - ru * ui)
                 V[j] = vj + lr * (e * ui - rv * vj)
-        obj = _pmf_objective(m, U, V, ru, rv)
-        _check_finite(obj, it)
-        history.append(obj)
-        if hook is not None:
-            hook(it, U, V)
-        if _converged(history, spec.convergence_tol):
-            break
-    return FactorPair(U, V, final_objective=history[-1], history=history)
+    return sweep
 
 
 # -- fast maximum-margin with smooth hinge --------------------------------------
@@ -253,17 +208,20 @@ def _smooth_hinge(z):
 
 
 def _mmmf_levels(m, spec):
+    """The ordinal levels and each entry's level index."""
     if spec.levels is not None:
         levels = np.asarray(spec.levels, dtype=np.float64)
     else:
         levels = np.unique(m.vals)
     if levels.size < 1:
         raise EmptyInputError("no rating levels")
-    return levels
+    lev_idx = np.clip(np.searchsorted(levels, m.vals), 0, levels.size - 1)
+    return levels, lev_idx
 
 
-def _mmmf_objective(m, U, V, thresholds, lev_idx, margin_c):
-    n_th = thresholds.shape[1]
+def _mmmf_objective(m, spec, U, V, thresholds):
+    _, lev_idx = _mmmf_levels(m, spec)
+    n_th = thresholds.shape[1] if thresholds is not None else 0
     if n_th == 0:
         hinge = 0.0
     else:
@@ -272,23 +230,16 @@ def _mmmf_objective(m, U, V, thresholds, lev_idx, margin_c):
         Z = T * (thresholds[m.rows] - s[:, None])
         hinge = float(_smooth_hinge(Z).sum())
     return 0.5 * (float((U * U).sum()) + float((V * V).sum())) \
-        + margin_c * hinge
+        + spec.margin_c * hinge
 
 
-def _fit_mmmf(m, spec, init, hook, sample_order):
-    rng = np.random.default_rng(spec.seed)
-    r = spec.r
-    levels = _mmmf_levels(m, spec)
-    lev_idx = np.searchsorted(levels, m.vals)
-    lev_idx = np.clip(lev_idx, 0, levels.size - 1)
+def _mmmf_epoch(m, spec, rng, sample_order):
+    levels, lev_idx = _mmmf_levels(m, spec)
     n_th = levels.size - 1
-    if init is None:
-        U = rng.standard_normal((m.n_rows, r)) / np.sqrt(r)
-        V = rng.standard_normal((m.n_cols, r)) / np.sqrt(r)
-    else:
-        U, V = init[0].copy(), init[1].copy()
     mids = (levels[:-1] + levels[1:]) / 2.0 if n_th else np.empty(0)
-    thresholds = np.tile(mids, (m.n_rows, 1))
+    # at most a few thresholds per row: Python floats, updated in the
+    # vectorized form's operation order so the iterates stay bitwise equal
+    th_rows = np.tile(mids, (m.n_rows, 1)).tolist()
 
     n_i = np.maximum(m.row_counts(), 1).astype(np.float64).tolist()
     m_j = np.maximum(m.col_counts(), 1).astype(np.float64).tolist()
@@ -298,16 +249,11 @@ def _fit_mmmf(m, spec, init, hook, sample_order):
     signs = [[1.0 if k >= lev else -1.0 for k in range(n_th)]
              for lev in range(levels.size)]
     entry_signs = [signs[lev] for lev in lev_idx.tolist()]
-    step, tmp = np.empty(r), np.empty(r)
+    step, tmp = np.empty(spec.r), np.empty(spec.r)
     mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
-    history = []
-    for it in range(spec.max_iters):
+    def sweep(U, V):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
-        # at most a few thresholds per row: Python floats for the epoch,
-        # updated in the vectorized form's operation order so the iterates
-        # stay bitwise equal to it
-        th_rows = thresholds.tolist()
         for t in np.asarray(order).tolist():
             i, j = rows[t], cols[t]
             ui = U[i]
@@ -334,16 +280,20 @@ def _fit_mmmf(m, spec, init, hook, sample_order):
             add(step, tmp, out=step)
             mul(step, lr, out=step)
             sub(vj, step, out=vj)
-        thresholds = np.array(th_rows, dtype=np.float64)
-        obj = _mmmf_objective(m, U, V, thresholds, lev_idx, C)
-        _check_finite(obj, it)
-        history.append(obj)
-        if hook is not None:
-            hook(it, U, V)
-        if _converged(history, spec.convergence_tol):
-            break
-    return FactorPair(U, V, thresholds=thresholds,
-                      final_objective=history[-1], history=history)
+        return np.array(th_rows, dtype=np.float64)
+    return sweep
+
+
+# nonneg: values and factors must be >= 0, and the seeded draw is uniform
+# instead of Gaussian. Keyed like ALGORITHMS, whose order is the .fac
+# header's algorithm tag.
+_Algorithm = namedtuple("_Algorithm", "nonneg epoch objective")
+_TABLE = {
+    "svd_als": _Algorithm(False, _als_epoch, _als_objective),
+    "nmf": _Algorithm(True, _nmf_epoch, _nmf_objective),
+    "pmf_sgd": _Algorithm(False, _pmf_epoch, _pmf_objective),
+    "mmmf_fast": _Algorithm(False, _mmmf_epoch, _mmmf_objective),
+}
 
 
 # -- public surface ---------------------------------------------------------------
@@ -368,15 +318,36 @@ def factorize(m, spec, init=None, sample_order=None, iterate_hook=None):
     spec.validate()
     if m.nnz == 0:
         raise EmptyInputError("cannot factorize a matrix with no entries")
-    if spec.algorithm == "svd_als":
-        return _fit_svd_als(m, spec, init, iterate_hook)
-    if spec.algorithm == "nmf":
-        return _fit_nmf(m, spec, init, iterate_hook)
-    if spec.algorithm == "pmf_sgd":
-        return _fit_pmf_sgd(m, spec, init, iterate_hook, sample_order)
-    if spec.algorithm == "mmmf_fast":
-        return _fit_mmmf(m, spec, init, iterate_hook, sample_order)
-    raise ValueError(spec.algorithm)
+    algo = _TABLE[spec.algorithm]
+    if algo.nonneg and m.vals.min() < 0:
+        raise DomainError(f"{spec.algorithm} requires nonnegative values")
+    rng = np.random.default_rng(spec.seed)
+    r = spec.r
+    if init is None:
+        if algo.nonneg:
+            U = rng.uniform(0.0, 1.0 / np.sqrt(r), (m.n_rows, r))
+            V = rng.uniform(0.0, 1.0 / np.sqrt(r), (m.n_cols, r))
+        else:
+            U = rng.standard_normal((m.n_rows, r)) / np.sqrt(r)
+            V = rng.standard_normal((m.n_cols, r)) / np.sqrt(r)
+    else:
+        U, V = init[0].copy(), init[1].copy()
+        if algo.nonneg and (U.min() < 0 or V.min() < 0):
+            raise DomainError(f"{spec.algorithm} initialization must be "
+                              "nonnegative")
+    sweep = algo.epoch(m, spec, rng, sample_order)
+    history = []
+    for it in range(spec.max_iters):
+        thresholds = sweep(U, V)
+        obj = algo.objective(m, spec, U, V, thresholds)
+        _check_finite(obj, it)
+        history.append(obj)
+        if iterate_hook is not None:
+            iterate_hook(it, U, V)
+        if _converged(history, spec.convergence_tol):
+            break
+    return FactorPair(U, V, thresholds=thresholds,
+                      final_objective=history[-1], history=history)
 
 
 def predict_entry(pair, i, j, clamp=None):
@@ -397,20 +368,8 @@ def objective_value(m, pair, spec):
     spec.validate()
     if pair.U.shape[0] != m.n_rows or pair.V.shape[0] != m.n_cols:
         raise ShapeError("factor dimensions do not match the matrix")
-    if spec.algorithm == "svd_als":
-        return _als_objective(m, pair.U, pair.V, spec.reg)
-    if spec.algorithm == "nmf":
-        return _nmf_objective(m, pair.U, pair.V, spec.reg)
-    if spec.algorithm == "pmf_sgd":
-        return _pmf_objective(m, pair.U, pair.V, spec.reg_user, spec.reg_item)
-    if spec.algorithm == "mmmf_fast":
-        levels = _mmmf_levels(m, spec)
-        lev_idx = np.clip(np.searchsorted(levels, m.vals), 0, levels.size - 1)
-        th = pair.thresholds
-        if th is None:
-            th = np.empty((m.n_rows, 0))
-        return _mmmf_objective(m, pair.U, pair.V, th, lev_idx, spec.margin_c)
-    raise ValueError(spec.algorithm)
+    return _TABLE[spec.algorithm].objective(m, spec, pair.U, pair.V,
+                                            pair.thresholds)
 
 
 # -- persistence -------------------------------------------------------------------
@@ -474,14 +433,9 @@ def load_factors(path):
 
 
 def spec_to_dict(spec):
-    d = {
-        "algorithm": spec.algorithm, "r": spec.r, "reg": spec.reg,
-        "reg_user": spec.reg_user, "reg_item": spec.reg_item,
-        "margin_c": spec.margin_c, "learning_rate": spec.learning_rate,
-        "max_iters": spec.max_iters, "convergence_tol": spec.convergence_tol,
-        "seed": spec.seed,
-        "levels": list(spec.levels) if spec.levels is not None else None,
-    }
+    d = asdict(spec)
+    if d["levels"] is not None:
+        d["levels"] = list(d["levels"])
     return d
 
 

@@ -12,6 +12,7 @@ prediction goes through :meth:`LMFModel.predict_many`.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import os
@@ -54,7 +55,7 @@ class LMFModel:
 
     def __init__(self, tree, block_rows, block_cols, pairs, mu, b_user,
                  b_item, spec, value_range, blocks=None, timings=None,
-                 threads=1, uncovered="bias"):
+                 uncovered="bias"):
         self.tree = tree
         self.block_rows = block_rows
         self.block_cols = block_cols
@@ -66,7 +67,6 @@ class LMFModel:
         self.value_range = value_range
         self.blocks = blocks  # AssembledBlock list when fitted in-process
         self.timings = timings or {}
-        self.threads = threads
         if uncovered not in ("bias", "cross"):
             raise ValueError("uncovered must be 'bias' or 'cross'")
         self.uncovered = uncovered
@@ -194,9 +194,7 @@ class LMFModel:
             "n_blocks": self.n_blocks,
             "mu": self.mu,
             "value_range": list(self.value_range),
-            "threads": self.threads,
             "uncovered": self.uncovered,
-            "timings": self.timings,
         }
         with open(os.path.join(directory, "manifest.json"), "w",
                   encoding="utf-8") as fh:
@@ -240,8 +238,6 @@ class LMFModel:
         return cls(tree, [rows for _, rows, _ in leaves],
                    [cols for _, _, cols in leaves], pairs, manifest["mu"],
                    b_user, b_item, spec, tuple(manifest["value_range"]),
-                   timings=manifest.get("timings"),
-                   threads=manifest.get("threads", 1),
                    uncovered=manifest.get("uncovered", "bias"))
 
 
@@ -285,7 +281,7 @@ def _single_blas_thread():
 
 
 def _fit_one_block(args):
-    k, block_matrix, spec = args
+    block_matrix, spec = args
     t0 = time.perf_counter()
     if block_matrix.nnz == 0:
         pair = FactorPair(np.zeros((block_matrix.n_rows, spec.r)),
@@ -293,7 +289,7 @@ def _fit_one_block(args):
                           final_objective=0.0, history=[0.0])
     else:
         pair = factorize(block_matrix, spec)
-    return k, pair, time.perf_counter() - t0
+    return pair, time.perf_counter() - t0
 
 
 def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
@@ -316,35 +312,24 @@ def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
         levels = tuple(float(v) for v in np.unique(m.vals))
         spec = replace(spec, levels=levels)
 
-    jobs = []
-    for k, blk in enumerate(blocks):
-        block_spec = with_seed(spec, _derive_seed(spec.seed, (7001, k)))
-        jobs.append((k, blk.matrix, block_spec))
-    order = sorted(range(len(jobs)), key=lambda k: -blocks[k].nnz)
+    order = sorted(range(len(blocks)), key=lambda k: -blocks[k].nnz)
+    jobs = [(blocks[k].matrix,
+             with_seed(spec, _derive_seed(spec.seed, (7001, k))))
+            for k in order]
 
-    pairs = [None] * len(jobs)
-    block_times = [0.0] * len(jobs)
-    workers = min(threads, len(os.sched_getaffinity(0)), len(jobs))
+    pairs = [None] * len(blocks)
+    block_times = [0.0] * len(blocks)
+    workers = min(threads, len(os.sched_getaffinity(0)), len(blocks))
     t_fit = time.perf_counter()
-    if workers <= 1:
+    with (ProcessPoolExecutor(max_workers=workers,
+                              initializer=_single_blas_thread)
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        results = (pool.map if pool else map)(_fit_one_block, jobs)
         for k in order:
             try:
-                k2, pair, dt = _fit_one_block(jobs[k])
+                pairs[k], block_times[k] = next(results)
             except LMFError as exc:
                 raise _tag_block_error(exc, k) from exc
-            pairs[k2] = pair
-            block_times[k2] = dt
-    else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_single_blas_thread) as pool:
-            futures = {pool.submit(_fit_one_block, jobs[k]): k for k in order}
-            for fut, k in futures.items():
-                try:
-                    k2, pair, dt = fut.result()
-                except LMFError as exc:
-                    raise _tag_block_error(exc, k) from exc
-                pairs[k2] = pair
-                block_times[k2] = dt
     fit_wall = time.perf_counter() - t_fit
 
     t_stitch = time.perf_counter()
@@ -357,7 +342,7 @@ def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
         timings={"fit_wall": fit_wall,
                  "stitch_wall": time.perf_counter() - t_stitch,
                  "block_fit": block_times},
-        threads=threads, uncovered=uncovered)
+        uncovered=uncovered)
     return model
 
 

@@ -160,6 +160,14 @@ def test_benchmark_with_approximate_permute_mode():
     assert "fchr" not in report.block_stats  # only the balanced mode logs rounds
 
 
+def test_benchmark_config_levels_reach_the_spec():
+    m = _bench_matrix()
+    report = run_benchmark(_config(m, algorithm="mmmf_fast", mode="baseline",
+                                   levels=[1, 2, 3, 4, 5], max_iters=3,
+                                   folds=2))
+    assert report.spec["levels"] == [1, 2, 3, 4, 5]
+
+
 def test_benchmark_accepts_shared_fold_trees():
     from lmf import balanced_permute, kfold_split
 

@@ -186,6 +186,17 @@ def test_objective_additive_over_disjoint_blocks(algo):
     assert joint_obj == pytest.approx(total, rel=1e-12)
 
 
+@pytest.mark.parametrize("algo", ["svd_als", "nmf", "pmf_sgd", "mmmf_fast"])
+def test_objective_value_equals_final_objective(algo):
+    rng = np.random.default_rng(17)
+    r, c, v = random_block(rng, 10, 12, 0.5)
+    m = RatingMatrix(10, 12, r, c, v)
+    spec = FactorizerSpec(algorithm=algo, r=3, max_iters=7,
+                          learning_rate=0.02, seed=2)
+    pair = factorize(m, spec)
+    assert objective_value(m, pair, spec) == pair.final_objective
+
+
 def test_regularizer_separability_direct():
     # count-weighted ridge: weights of stacked factors equal the per-block
     # weights, so the penalty is exactly additive

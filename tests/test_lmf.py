@@ -225,9 +225,9 @@ def test_parallel_equivalence_and_identical_model_files(tmp_path, algo,
     d1, d2 = tmp_path / "serial", tmp_path / "pooled"
     serial.save(d1)
     pooled.save(d2)
-    for name in sorted(os.listdir(d1)):
-        if name.endswith(".fac") or name == "biases.bin":
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+    assert sorted(os.listdir(d1)) == sorted(os.listdir(d2))
+    for name in os.listdir(d1):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 def test_model_round_trip_predictions(tmp_path):
@@ -236,6 +236,12 @@ def test_model_round_trip_predictions(tmp_path):
     tree, _ = balanced_permute(m, 0.5, seed=4)
     model = lmf_fit(tree, m, SPEC)
     model.save(tmp_path / "model")
+    # manifests written before wall times were left out still load
+    path = tmp_path / "model" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert "timings" not in manifest and "threads" not in manifest
+    manifest.update(threads=2, timings={"fit_wall": 0.5})
+    path.write_text(json.dumps(manifest))
     loaded = LMFModel.load(tmp_path / "model")
     assert loaded.n_blocks == model.n_blocks
     I = rng.integers(0, m.n_rows, 50)
