@@ -59,6 +59,13 @@ class ShapeError(LMFError):
     exit_code = 2
 
 
+class SpecError(LMFError):
+    """A factorizer spec (from a model file or a benchmark config) with
+    keys it does not know or without a key it needs."""
+
+    exit_code = 2
+
+
 class MissingLabelsError(LMFError):
     """Labels asked of a model whose tree carries no row or column labels
     (built from ``n_rows``/``n_cols`` instead of a labelled matrix)."""

@@ -24,7 +24,13 @@ from .errors import (
     ShapeError,
     UndefinedMetricError,
 )
-from .factorize import FactorizerSpec, factorize, spec_from_dict, spec_to_dict
+from .factorize import (
+    FactorizerSpec,
+    _dots,
+    factorize,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .matrix import RatingMatrix, load_ratings
 from .model import fallback_biases, lmf_fit
 
@@ -147,7 +153,7 @@ def _spec_from_config(config):
 
 
 def _predict_baseline(pair, I, J, clamp):
-    p = np.einsum("ij,ij->i", pair.U[I], pair.V[J])
+    p = _dots(pair.U, pair.V, I, J)
     return np.clip(p, clamp[0], clamp[1])
 
 

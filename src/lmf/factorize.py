@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 import struct
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.sparse import csr_matrix
 
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     DomainError,
     EmptyInputError,
     ShapeError,
+    SpecError,
 )
 
 ALGORITHMS = ("svd_als", "nmf", "pmf_sgd", "mmmf_fast")
@@ -107,9 +109,26 @@ def _converged(history, tol):
     return abs(prev - cur) <= tol * max(abs(prev), 1e-12)
 
 
+def _dots(U, V, rows, cols):
+    """``U[rows[t]] . V[cols[t]]`` for every ``t``.
+
+    Works through chunks of about 1 MiB per gathered slice, so both stay in
+    a core's L2 cache. Each element is the same einsum reduction as over the
+    whole gather, so the result is bitwise equal to one einsum; a batch of
+    one chunk or less is that one einsum.
+    """
+    step = max(1, 2**20 // (8 * U.shape[1]))
+    if len(rows) <= step:
+        return np.einsum("ij,ij->i", U[rows], V[cols])
+    out = np.empty(len(rows))
+    for s in range(0, out.size, step):
+        np.einsum("ij,ij->i", U[rows[s:s + step]], V[cols[s:s + step]],
+                  out=out[s:s + step])
+    return out
+
+
 def _sse(m, U, V):
-    pred = np.einsum("ij,ij->i", U[m.rows], V[m.cols])
-    d = m.vals - pred
+    d = m.vals - _dots(U, V, m.rows, m.cols)
     return float(d @ d)
 
 
@@ -126,27 +145,49 @@ def _als_objective(m, spec, U, V, thresholds):
     return _sse(m, U, V) + spec.reg * float(pen)
 
 
-def _als_half_sweep(target, fixed, ptr_get_idx, ptr_get_val, n, r, reg):
-    eye = np.eye(r)
-    for i in range(n):
-        idx = ptr_get_idx(i)
-        if idx.size == 0:
+def _als_half_sweep(target, fixed, ptr, idx, vals, reg):
+    """Ridge-solve row ``i`` of ``target`` against the rows
+    ``idx[ptr[i]:ptr[i+1]]`` of ``fixed`` and the matching ``vals``.
+
+    With ``n`` observations, ``F = fixed[idx[...]]`` and ``lam = reg * n``,
+    the solution of ``(F'F + lam I) x = F'y`` equals ``F'w`` with
+    ``(FF' + lam I) w = y``, so a row with ``n < r`` solves the smaller
+    ``n x n`` system. Both are positive definite for ``lam > 0`` and go to
+    Cholesky; when one is not (unregularized and rank-deficient), the
+    minimum-norm least-squares solution of the ``r x r`` system is used.
+    """
+    r = fixed.shape[1]
+    ptr = ptr.tolist()
+    for i in range(target.shape[0]):
+        lo, hi = ptr[i], ptr[i + 1]
+        n = hi - lo
+        if n == 0:
             target[i] = 0.0
             continue
-        F = fixed[idx]
-        A = F.T @ F + (reg * idx.size) * eye
-        b = F.T @ ptr_get_val(i)
-        try:
-            target[i] = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            # unregularized and rank-deficient: minimum-norm least squares
-            target[i] = np.linalg.lstsq(A, b, rcond=None)[0]
+        F = fixed[idx[lo:hi]]
+        y = vals[lo:hi]
+        lam = reg * n
+        if n >= r:
+            A = F.T @ F
+            A.flat[::r + 1] += lam
+            _, x, info = dposv(A, F.T @ y)
+        else:
+            G = F @ F.T
+            G.flat[::n + 1] += lam
+            _, w, info = dposv(G, y)
+            x = F.T @ w
+        if info > 0:
+            A = F.T @ F + lam * np.eye(r)
+            x = np.linalg.lstsq(A, F.T @ y, rcond=None)[0]
+        target[i] = x
 
 
 def _als_epoch(m, spec, rng, sample_order):
+    t_rows, t_vals = m.rows[m._col_order], m.vals[m._col_order]
+
     def sweep(U, V):
-        _als_half_sweep(U, V, m.row_cols, m.row_vals, m.n_rows, spec.r, spec.reg)
-        _als_half_sweep(V, U, m.col_rows, m.col_vals, m.n_cols, spec.r, spec.reg)
+        _als_half_sweep(U, V, m._row_ptr, m.cols, m.vals, spec.reg)
+        _als_half_sweep(V, U, m._col_ptr, t_rows, t_vals, spec.reg)
     return sweep
 
 
@@ -163,11 +204,11 @@ def _nmf_epoch(m, spec, rng, sample_order):
     Xt = csr_matrix((t_vals, t_rows, m._col_ptr), shape=(m.n_cols, m.n_rows))
 
     def sweep(U, V):
-        pred = np.einsum("ij,ij->i", U[m.rows], V[m.cols])
+        pred = _dots(U, V, m.rows, m.cols)
         P = csr_matrix((pred, m.cols, m._row_ptr), shape=m.shape)
         U *= (X @ V) / (P @ V + spec.reg * U + _EPS)
 
-        pred = np.einsum("ij,ij->i", U[m.rows], V[m.cols])
+        pred = _dots(U, V, m.rows, m.cols)
         Pt = csr_matrix((pred[m._col_order], t_rows, m._col_ptr),
                         shape=(m.n_cols, m.n_rows))
         V *= (Xt @ U) / (Pt @ U + spec.reg * V + _EPS)
@@ -183,19 +224,31 @@ def _pmf_objective(m, spec, U, V, thresholds):
 
 def _pmf_epoch(m, spec, rng, sample_order):
     lr, ru, rv = spec.learning_rate, spec.reg_user, spec.reg_item
-    rows, cols, vals = m.rows, m.cols, m.vals
+    rows, cols, vals = m.rows.tolist(), m.cols.tolist(), m.vals.tolist()
+    step, tmp = np.empty(spec.r), np.empty(spec.r)
+    mul, add, sub = np.multiply, np.add, np.subtract
 
     def sweep(U, V):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
         # overflow shows up as a non-finite objective
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in order:
+            for t in np.asarray(order).tolist():
                 i, j = rows[t], cols[t]
                 ui = U[i]
                 vj = V[j]
-                e = vals[t] - ui @ vj
-                U[i] = ui + lr * (e * vj - ru * ui)
-                V[j] = vj + lr * (e * ui - rv * vj)
+                e = vals[t] - float(ui @ vj)
+                # ui += lr * (e * vj - ru * ui), then the same for vj, which
+                # moves along the updated ui (a view of U[i])
+                mul(vj, e, out=step)
+                mul(ui, ru, out=tmp)
+                sub(step, tmp, out=step)
+                mul(step, lr, out=step)
+                add(ui, step, out=ui)
+                mul(ui, e, out=step)
+                mul(vj, rv, out=tmp)
+                sub(step, tmp, out=step)
+                mul(step, lr, out=step)
+                add(vj, step, out=vj)
     return sweep
 
 
@@ -225,7 +278,7 @@ def _mmmf_objective(m, spec, U, V, thresholds):
     if n_th == 0:
         hinge = 0.0
     else:
-        s = np.einsum("ij,ij->i", U[m.rows], V[m.cols])
+        s = _dots(U, V, m.rows, m.cols)
         T = np.where(np.arange(n_th)[None, :] >= lev_idx[:, None], 1.0, -1.0)
         Z = T * (thresholds[m.rows] - s[:, None])
         hinge = float(_smooth_hinge(Z).sum())
@@ -440,6 +493,19 @@ def spec_to_dict(spec):
 
 
 def spec_from_dict(d):
+    """The :class:`FactorizerSpec` a dict of its fields describes; raises
+    :class:`SpecError` naming any unknown key or missing required key."""
+    if not isinstance(d, dict):
+        raise SpecError(f"factorizer spec is {type(d).__name__}, not an "
+                        "object")
+    spec_fields = fields(FactorizerSpec)
+    unknown = [k for k in d if k not in {f.name for f in spec_fields}]
+    if unknown:
+        raise SpecError(f"factorizer spec has unknown keys: {unknown}")
+    missing = [f.name for f in spec_fields
+               if f.default is MISSING and f.name not in d]
+    if missing:
+        raise SpecError(f"factorizer spec lacks required keys: {missing}")
     d = dict(d)
     if d.get("levels") is not None:
         d["levels"] = tuple(d["levels"])

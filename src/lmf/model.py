@@ -26,6 +26,7 @@ from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
 from .errors import LMFError, MissingLabelsError, ShapeError
 from .factorize import (
     FactorPair,
+    _dots,
     factorize,
     load_factors,
     save_factors,
@@ -124,8 +125,7 @@ class LMFModel:
         count = np.zeros(I.size, dtype=np.int64)
         for pair, sel, li, lj in self._covering(I, J):
             if sel.any():
-                total[sel] += np.einsum("ij,ij->i", pair.U[li[sel]],
-                                        pair.V[lj[sel]])
+                total[sel] += _dots(pair.U, pair.V, li[sel], lj[sel])
                 count[sel] += 1
         covered = count > 0
         out = np.empty(I.size)

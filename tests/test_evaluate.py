@@ -341,6 +341,37 @@ def test_cli_exit_codes(tmp_path, capsys):
                    "--iters", "30", "--out", str(tmp_path / "m")])
     assert rc == 3
 
+    # factorizer specs with an unknown or a missing key -> exit 2
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("u0 i1\n")
+    manifest = json.loads((model / "manifest.json").read_text())
+    manifest["spec"]["foo"] = 1
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli_main(["predict", "--model", str(model),
+                     "--pairs", str(pairs)]) == 2
+    assert "'foo'" in capsys.readouterr().err
+    spec = manifest["spec"]
+    manifest["spec"] = None
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    assert cli_main(["predict", "--model", str(model),
+                     "--pairs", str(pairs)]) == 2
+    del spec["foo"]
+    manifest["spec"] = spec
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    sidecar_path = model / "block_0000.fac.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    del sidecar["spec"]["algorithm"]
+    sidecar_path.write_text(json.dumps(sidecar))
+    assert cli_main(["predict", "--model", str(model),
+                     "--pairs", str(pairs)]) == 2
+    assert "'algorithm'" in capsys.readouterr().err
+    config = tmp_path / "no_algorithm.json"
+    config.write_text(json.dumps({"input": str(data), "mode": "baseline",
+                                  "folds": 2}))
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    assert "'algorithm'" in capsys.readouterr().err
+
 
 def test_predict_labels_and_cli_fall_back_on_unknown_labels(tmp_path, capsys):
     from lmf import lmf_fit

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lmf import (
+    FactorPair,
     FactorizerSpec,
     RatingMatrix,
     factorize,
@@ -11,6 +12,7 @@ from lmf import (
     save_factors,
 )
 from lmf.errors import DivergenceError, DomainError, EmptyInputError, ShapeError
+from lmf.factorize import _dots
 
 
 def full_matrix(values):
@@ -80,6 +82,48 @@ def test_als_unregularized_rank_deficient_rows():
     h = np.array(pair.history)
     assert np.isfinite(h).all()
     assert np.all(h[1:] <= h[:-1] + 1e-9 * np.maximum(1.0, np.abs(h[:-1])))
+
+
+def _first_row_after_one_sweep(m, V0, spec):
+    """U[0] after the first U half-sweep against the fixed ``V0``."""
+    seen = []
+    factorize(m, spec, init=(np.zeros((m.n_rows, spec.r)), V0),
+              iterate_hook=lambda it, U, V: seen.append(U[0].copy()))
+    return seen[0]
+
+
+def test_als_dual_solve_is_minimum_norm_without_ridge():
+    # row 0 has n=3 < r=6 observations: with reg=0 the n x n solve must
+    # give the minimum-norm least-squares solution of F x = y
+    rng = np.random.default_rng(31)
+    cols = np.array([1, 4, 6])
+    y = np.array([4.0, 2.0, 5.0])
+    m = RatingMatrix(2, 8, np.r_[[0, 0, 0], np.ones(8, int)],
+                     np.r_[cols, np.arange(8)], np.r_[y, np.full(8, 3.0)])
+    V0 = rng.standard_normal((8, 6))
+    spec = FactorizerSpec(algorithm="svd_als", r=6, reg=0.0, max_iters=1)
+    x = _first_row_after_one_sweep(m, V0, spec)
+    expect = np.linalg.lstsq(V0[cols], y, rcond=None)[0]
+    assert np.abs(x - expect).max() <= 1e-10 * np.abs(expect).max()
+
+
+def test_als_singular_dual_system_falls_back_to_lstsq(monkeypatch):
+    # row 0 sees two columns whose factors are equal, so F F' is singular
+    # and its Cholesky fails; the row must come from the lstsq fallback
+    m = RatingMatrix(2, 3, [0, 0, 1, 1, 1], [0, 1, 0, 1, 2],
+                     [2.0, 4.0, 1.0, 1.0, 1.0])
+    V0 = np.array([[1.0, 1.0, 1.0, 1.0],
+                   [1.0, 1.0, 1.0, 1.0],
+                   [1.0, 0.0, 2.0, 0.0]])
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+    spec = FactorizerSpec(algorithm="svd_als", r=4, reg=0.0, max_iters=1)
+    x = _first_row_after_one_sweep(m, V0, spec)
+    assert calls
+    # both observations fit by the minimum-norm x: x . (1,1,1,1) = 3
+    assert np.allclose(x, np.full(4, 0.75), rtol=0, atol=1e-10)
 
 
 def test_factorize_empty_matrix_raises():
@@ -396,6 +440,111 @@ def test_mmmf_iterates_equal_vectorized_reference():
     for (U, V), (Ur, Vr) in zip(trace, ref):
         assert np.array_equal(U, Ur) and np.array_equal(V, Vr)
     assert np.array_equal(pair.thresholds, ref_thresholds)
+
+
+def _als_reference(m, spec, U, V):
+    """The LU svd_als sweep that the Cholesky kernel replaced, kept as the
+    reference it must match: ``(F'F + reg n I) x = F'y`` per row, solved
+    with ``np.linalg.solve``. Returns every iteration's U, V and objective."""
+    def half_sweep(target, fixed, get_idx, get_val, n, r, reg):
+        eye = np.eye(r)
+        for i in range(n):
+            idx = get_idx(i)
+            if idx.size == 0:
+                target[i] = 0.0
+                continue
+            F = fixed[idx]
+            A = F.T @ F + (reg * idx.size) * eye
+            b = F.T @ get_val(i)
+            try:
+                target[i] = np.linalg.solve(A, b)
+            except np.linalg.LinAlgError:
+                target[i] = np.linalg.lstsq(A, b, rcond=None)[0]
+
+    trace = []
+    for _ in range(spec.max_iters):
+        half_sweep(U, V, m.row_cols, m.row_vals, m.n_rows, spec.r, spec.reg)
+        half_sweep(V, U, m.col_rows, m.col_vals, m.n_cols, spec.r, spec.reg)
+        trace.append((U.copy(), V.copy(),
+                      objective_value(m, FactorPair(U, V), spec)))
+    return trace
+
+
+def test_als_iterates_match_lu_reference():
+    # rows and columns with fewer and with more observations than r, so
+    # both the n x n and the r x r solves run on both sides
+    rng = np.random.default_rng(24)
+    nr, nc, r = 30, 40, 6
+    mask = rng.random((nr, nc)) < rng.uniform(0.03, 0.5, (nr, 1))
+    mask[np.arange(nr), rng.integers(nc, size=nr)] = True
+    rows, cols = np.nonzero(mask)
+    m = RatingMatrix(nr, nc, rows, cols,
+                     rng.integers(1, 6, rows.size).astype(float))
+    for counts in (m.row_counts(), m.col_counts()):
+        assert counts.min() < r <= counts.max()
+    spec = FactorizerSpec(algorithm="svd_als", r=r, reg=0.05, max_iters=8,
+                          convergence_tol=0.0, seed=0)
+    U0 = rng.standard_normal((nr, r))
+    V0 = rng.standard_normal((nc, r))
+    trace = []
+    pair = factorize(m, spec, init=(U0, V0),
+                     iterate_hook=lambda it, U, V: trace.append(
+                         (U.copy(), V.copy())))
+    ref = _als_reference(m, spec, U0.copy(), V0.copy())
+    assert len(trace) == len(ref) == len(pair.history) == spec.max_iters
+    for (U, V), obj, (Ur, Vr, obj_r) in zip(trace, pair.history, ref):
+        assert np.abs(U - Ur).max() <= 1e-10 * np.abs(Ur).max()
+        assert np.abs(V - Vr).max() <= 1e-10 * np.abs(Vr).max()
+        assert abs(obj - obj_r) <= 1e-10 * abs(obj_r)
+
+
+def _pmf_reference(m, spec, U, V, order):
+    """The pmf_sgd loop that the in-place kernel replaced, kept as the
+    reference it must reproduce bit for bit."""
+    lr, ru, rv = spec.learning_rate, spec.reg_user, spec.reg_item
+    trace = []
+    for _ in range(spec.max_iters):
+        for t in order:
+            i, j = m.rows[t], m.cols[t]
+            ui = U[i]
+            vj = V[j]
+            e = m.vals[t] - ui @ vj
+            U[i] = ui + lr * (e * vj - ru * ui)
+            V[j] = vj + lr * (e * ui - rv * vj)
+        trace.append((U.copy(), V.copy()))
+    return trace
+
+
+def test_pmf_iterates_equal_reference():
+    rng = np.random.default_rng(25)
+    r, c, v = random_block(rng, 15, 17, 0.5)
+    m = RatingMatrix(15, 17, r, c, v)
+    spec = FactorizerSpec(algorithm="pmf_sgd", r=4, learning_rate=0.05,
+                          reg_user=0.03, reg_item=0.07, max_iters=6,
+                          convergence_tol=0.0, seed=0)
+    U0 = rng.standard_normal((15, 4))
+    V0 = rng.standard_normal((17, 4))
+    order = rng.permutation(m.nnz)
+    trace = []
+    factorize(m, spec, init=(U0, V0), sample_order=order,
+              iterate_hook=lambda it, U, V: trace.append((U.copy(), V.copy())))
+    ref = _pmf_reference(m, spec, U0.copy(), V0.copy(), order)
+    assert len(trace) == len(ref) == spec.max_iters
+    for (U, V), (Ur, Vr) in zip(trace, ref):
+        assert np.array_equal(U, Ur) and np.array_equal(V, Vr)
+
+
+@pytest.mark.parametrize("r", [3, 60])
+def test_dots_equal_one_einsum(r):
+    rng = np.random.default_rng(26)
+    U = rng.standard_normal((37, r))
+    V = rng.standard_normal((41, r))
+    step = max(1, 2**20 // (8 * r))
+    for n in (0, 1, step - 1, step, step + 1, 3 * step + 7):
+        rows = rng.integers(0, 37, n)
+        cols = rng.integers(0, 41, n)
+        expect = np.einsum("ij,ij->i", U[rows], V[cols])
+        assert np.array_equal(_dots(U, V, rows, cols), expect)
 
 
 def test_deterministic_for_fixed_spec():

@@ -175,6 +175,34 @@ def test_predict_many_matches_scalar_path():
         assert covered[t] == (model.coverage_count(int(I[t]), int(J[t])) > 0)
 
 
+def test_predict_many_over_several_chunks_equals_one_einsum():
+    rng = np.random.default_rng(7)
+    m = bordered_matrix(rng)
+    spec = replace(SPEC, r=60, max_iters=3)
+    model = lmf_fit(bordered_tree(m), m, spec)
+    n = 3 * (2**20 // (8 * spec.r)) + 7
+    I = rng.integers(0, m.n_rows, n)
+    J = rng.integers(0, m.n_cols, n)
+    total = np.zeros(n)
+    count = np.zeros(n, dtype=np.int64)
+    for rows, cols, pair in zip(model.block_rows, model.block_cols,
+                                model.pairs):
+        rp = np.full(m.n_rows, -1)
+        cp = np.full(m.n_cols, -1)
+        rp[rows] = np.arange(rows.size)
+        cp[cols] = np.arange(cols.size)
+        sel = (rp[I] >= 0) & (cp[J] >= 0)
+        total[sel] += np.einsum("ij,ij->i", pair.U[rp[I][sel]],
+                                pair.V[cp[J][sel]])
+        count[sel] += 1
+    covered = count > 0
+    assert (count > 1).any() and not covered.all()
+    pred, got_covered = model.predict_many(I, J)
+    assert np.array_equal(got_covered, covered)
+    assert np.array_equal(pred[covered], np.clip(
+        total[covered] / count[covered], *model.value_range))
+
+
 def test_exact_recovery_of_low_rank_block_diagonal():
     """Block-diagonal matrix with exactly rank-2 blocks: per-block fitting
     with an unregularized least-squares factorizer reproduces every
