@@ -27,6 +27,7 @@ from .errors import (
     NoSplitError,
     ShapeError,
     TooSmallError,
+    require_keys,
 )
 from .matrix import IndexPermutation, RatingMatrix, SubmatrixView
 from .partition import BipartiteGraph, gpes_bisect, gpvs_bisect
@@ -141,8 +142,12 @@ class BBDFTree:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        require_keys(doc, ("root", "mode", "seed", "target_density", "n_rows",
+                           "n_cols"), "tree")
 
         def decode(obj, path):
+            require_keys(obj, ("rows", "cols", "row_border", "col_border",
+                               "dropped", "children"), f"tree node {list(path)}")
             node = BBDFNode(obj["rows"], obj["cols"], path=path)
             node.row_border = np.asarray(obj["row_border"], dtype=np.int64)
             node.col_border = np.asarray(obj["col_border"], dtype=np.int64)
@@ -171,7 +176,11 @@ class BBDFTree:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except ShapeError as exc:
+            raise ShapeError(f"{path}: {exc}") from None
 
 
 class AssembledBlock:
@@ -334,7 +343,7 @@ class _BlockState:
 _BIG = np.iinfo(np.int64).max
 
 
-def improve_density(children, target, seed=0):
+def improve_density(children, target):
     """Promote vectors out of the blocks until their pooled density reaches
     ``target``.
 

@@ -59,9 +59,21 @@ class ShapeError(LMFError):
     exit_code = 2
 
 
+def require_keys(doc, keys, where):
+    """Raise :class:`ShapeError` unless ``doc`` (parsed JSON) is an object
+    holding every key in ``keys``; ``where`` names the file or node."""
+    if not isinstance(doc, dict):
+        raise ShapeError(f"{where} is a JSON {type(doc).__name__}, not an "
+                         "object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ShapeError(f"{where} lacks keys {missing}")
+
+
 class SpecError(LMFError):
     """A factorizer spec (from a model file or a benchmark config) with
-    keys it does not know or without a key it needs."""
+    keys it does not know, without a key it needs, or with a field of the
+    wrong type."""
 
     exit_code = 2
 

@@ -148,8 +148,7 @@ def _stage(name, fold):
 
 def _spec_from_config(config):
     names = {f.name for f in fields(FactorizerSpec)}
-    return spec_from_dict({k: v for k, v in config.items()
-                           if k in names}).validate()
+    return spec_from_dict({k: v for k, v in config.items() if k in names})
 
 
 def _predict_baseline(pair, I, J, clamp):

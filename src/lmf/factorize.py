@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 import struct
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -35,10 +37,15 @@ from .errors import (
     EmptyInputError,
     ShapeError,
     SpecError,
+    require_keys,
 )
 
 ALGORITHMS = ("svd_als", "nmf", "pmf_sgd", "mmmf_fast")
 _EPS = 1e-12
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,23 @@ class FactorizerSpec:
     levels: tuple = None
 
     def validate(self):
+        """Return self, or raise :class:`SpecError` for a field of the
+        wrong type and ``ValueError`` for an unknown algorithm or a value
+        out of range. Booleans count as neither integers nor reals."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("r", "max_iters", "seed", "reg", "reg_user", "reg_item",
+                     "margin_c", "learning_rate", "convergence_tol"):
+            value = getattr(self, name)
+            integral = name in ("r", "max_iters", "seed")
+            if not _is_number(value, Integral if integral else Real):
+                raise SpecError(f"factorizer spec field {name!r} is {value!r}, "
+                                f"not {'an integer' if integral else 'a number'}")
+        if self.levels is not None and not (
+                isinstance(self.levels, Sequence)
+                and all(_is_number(v, Real) for v in self.levels)):
+            raise SpecError(f"factorizer spec field 'levels' is "
+                            f"{self.levels!r}, not a list of numbers")
         if self.r < 1:
             raise ValueError("factor count r must be >= 1")
         for name in ("reg", "reg_user", "reg_item", "margin_c"):
@@ -475,6 +497,8 @@ def load_factors(path):
     th = body[n_u + n_v:].reshape(n_rows, n_th) if n_th else None
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    require_keys(sidecar, ("spec", "final_objective", "history"),
+                 f"{path}.json")
     spec = spec_from_dict(sidecar["spec"])
     if spec.algorithm != ALGORITHMS[algo]:
         raise ShapeError(f"{path}: algorithm tag mismatch")
@@ -493,8 +517,9 @@ def spec_to_dict(spec):
 
 
 def spec_from_dict(d):
-    """The :class:`FactorizerSpec` a dict of its fields describes; raises
-    :class:`SpecError` naming any unknown key or missing required key."""
+    """The validated :class:`FactorizerSpec` a dict of its fields
+    describes; raises :class:`SpecError` naming any unknown key, missing
+    required key or field of the wrong type."""
     if not isinstance(d, dict):
         raise SpecError(f"factorizer spec is {type(d).__name__}, not an "
                         "object")
@@ -507,9 +532,9 @@ def spec_from_dict(d):
     if missing:
         raise SpecError(f"factorizer spec lacks required keys: {missing}")
     d = dict(d)
-    if d.get("levels") is not None:
+    if isinstance(d.get("levels"), list):
         d["levels"] = tuple(d["levels"])
-    return FactorizerSpec(**d)
+    return FactorizerSpec(**d).validate()
 
 
 def with_seed(spec, seed):

@@ -19,14 +19,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from numbers import Real
 
 import numpy as np
 
 from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
-from .errors import LMFError, MissingLabelsError, ShapeError
+from .errors import LMFError, MissingLabelsError, ShapeError, require_keys
 from .factorize import (
     FactorPair,
     _dots,
+    _is_number,
     factorize,
     load_factors,
     save_factors,
@@ -203,8 +205,16 @@ class LMFModel:
     @classmethod
     def load(cls, directory):
         tree = BBDFTree.load(os.path.join(directory, "tree.json"))
-        with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
+        path = os.path.join(directory, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
+        require_keys(manifest, ("spec", "n_blocks", "mu", "value_range"), path)
+        mu, value_range = manifest["mu"], manifest["value_range"]
+        if not (_is_number(mu, Real) and isinstance(value_range, list)
+                and len(value_range) == 2
+                and all(_is_number(v, Real) for v in value_range)):
+            raise ShapeError(f"{path}: 'mu' must be a number and 'value_range' "
+                             f"two numbers, found {mu!r} and {value_range!r}")
         spec = spec_from_dict(manifest["spec"])
         leaves = list(assembled_indices(tree))
         if manifest["n_blocks"] != len(leaves):
@@ -236,8 +246,8 @@ class LMFModel:
         b_user = b[:tree.n_rows].copy()
         b_item = b[tree.n_rows:tree.n_rows + tree.n_cols].copy()
         return cls(tree, [rows for _, rows, _ in leaves],
-                   [cols for _, _, cols in leaves], pairs, manifest["mu"],
-                   b_user, b_item, spec, tuple(manifest["value_range"]),
+                   [cols for _, _, cols in leaves], pairs, mu,
+                   b_user, b_item, spec, tuple(value_range),
                    uncovered=manifest.get("uncovered", "bias"))
 
 

@@ -1,4 +1,4 @@
-"""Self-contained multilevel bipartite graph bisection.
+"""Multilevel bipartite graph bisection.
 
 Provides two-way partitioning by edge separator (``gpes_bisect``) and by
 vertex separator (``gpvs_bisect``). The scheme is the standard multilevel
@@ -7,9 +7,10 @@ greedy region-growing pass produces an initial bisection, and boundary
 Fiduccia-Mattheyses refinement runs at every uncoarsening level.
 
 The vertex separator is derived from an edge cut: the endpoints of the
-cut edges form a bipartite graph whose minimum vertex cover (exact, via
-maximum matching) disconnects the two parts; a greedy pass then returns
-redundant cover nodes to the parts.
+cut edges form a bipartite graph whose minimum vertex cover (exact: the
+Koenig construction on a ``scipy.sparse.csgraph`` maximum matching)
+disconnects the two parts; a greedy pass then returns redundant cover
+nodes to the parts.
 
 All tie-breaking is by lowest node index and every random choice flows
 from one seeded generator, so a (graph, balance_tol, seed) triple always
@@ -23,7 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    maximum_bipartite_matching,
+)
 
 from .errors import NoSplitError, TooSmallError
 
@@ -166,21 +171,11 @@ def _contract(level, match):
     cu = cmap[src]
     cv = cmap[level.adjncy]
     keep = cu != cv
-    cu, cv, w = cu[keep], cv[keep], level.adjwgt[keep]
-    if cu.size:
-        keys = cu * nc + cv
-        order = np.argsort(keys, kind="stable")
-        keys, w = keys[order], w[order]
-        uniq, start = np.unique(keys, return_index=True)
-        wsum = np.add.reduceat(w, start)
-        cu2 = (uniq // nc).astype(np.int64)
-        cv2 = (uniq % nc).astype(np.int64)
-        xadj_c = np.searchsorted(cu2, np.arange(nc + 1))
-        coarse = _Level(xadj_c, cv2, wsum.astype(np.int64), vwgt_c)
-    else:
-        coarse = _Level(np.zeros(nc + 1, dtype=np.int64),
-                        np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.int64), vwgt_c)
+    # CSR sums parallel edges and sorts each row's neighbours
+    adj = csr_matrix((level.adjwgt[keep], (cu[keep], cv[keep])), shape=(nc, nc))
+    adj.sum_duplicates()
+    coarse = _Level(adj.indptr.astype(np.int64), adj.indices.astype(np.int64),
+                    adj.data.astype(np.int64), vwgt_c)
     return cmap, coarse
 
 
@@ -414,90 +409,30 @@ def _verify_vertex_partition(g, part):
     assert _groups_are_pure(labels, tag, keep=keep), "a component spans two parts"
 
 
-# -- maximum matching / minimum vertex cover ---------------------------------
+# -- minimum vertex cover -----------------------------------------------------
 
-def _hopcroft_karp(adj_left, n_right):
-    """Maximum matching on a bipartite graph given left adjacency lists."""
-    n_left = len(adj_left)
-    pair_l = np.full(n_left, -1, dtype=np.int64)
-    pair_r = np.full(n_right, -1, dtype=np.int64)
-    INF = np.iinfo(np.int64).max
+def _min_vertex_cover(B):
+    """Minimum vertex cover of the bipartite graph with biadjacency ``B``.
 
-    def bfs():
-        dist = np.full(n_left, INF, dtype=np.int64)
-        queue = [u for u in range(n_left) if pair_l[u] < 0]
-        for u in queue:
-            dist[u] = 0
-        found = False
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in adj_left[u]:
-                w = pair_r[v]
-                if w < 0:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist, found
-
-    def dfs(u, dist):
-        stack = [(u, 0)]
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(adj_left[node]):
-                stack[-1] = (node, idx + 1)
-                v = adj_left[node][idx]
-                w = pair_r[v]
-                if w < 0:
-                    # augment: every left node on the stack re-pairs with the
-                    # right vertex it chose (edge index was pre-incremented)
-                    pair_l[node] = v
-                    pair_r[v] = node
-                    for k in range(len(stack) - 2, -1, -1):
-                        pn, pi = stack[k]
-                        pv = adj_left[pn][pi - 1]
-                        pair_l[pn] = pv
-                        pair_r[pv] = pn
-                    return True
-                if dist[w] == dist[node] + 1:
-                    stack.append((w, 0))
-            else:
-                dist[node] = INF
-                stack.pop()
-        return False
-
-    while True:
-        dist, found = bfs()
-        if not found:
-            break
-        for u in range(n_left):
-            if pair_l[u] < 0:
-                dfs(u, dist)
-    return pair_l, pair_r
-
-
-def _min_vertex_cover(adj_left, n_right, pair_l, pair_r):
-    """Koenig construction: alternating reachability from unmatched lefts."""
-    n_left = len(adj_left)
-    visited_l = np.zeros(n_left, dtype=bool)
-    visited_r = np.zeros(n_right, dtype=bool)
-    stack = [u for u in range(n_left) if pair_l[u] < 0]
-    for u in stack:
-        visited_l[u] = True
-    while stack:
-        u = stack.pop()
-        for v in adj_left[u]:
-            if not visited_r[v]:
-                visited_r[v] = True
-                w = pair_r[v]
-                if w >= 0 and not visited_l[w]:
-                    visited_l[w] = True
-                    stack.append(w)
-    cover_l = np.nonzero(~visited_l)[0]
-    cover_r = np.nonzero(visited_r)[0]
-    return cover_l, cover_r
+    Koenig construction: the cover is the rows not reached, plus the
+    columns reached, by alternating paths from the rows a maximum matching
+    leaves unmatched. The reached set is the same for every maximum
+    matching (Dulmage-Mendelsohn), so the cover does not depend on the one
+    scipy finds. Returns boolean masks over the rows and the columns."""
+    n_l, n_r = B.shape
+    row_col = maximum_bipartite_matching(B, perm_type="column")
+    matched = np.flatnonzero(row_col >= 0)
+    # alternating digraph over rows, then columns, then a source: source ->
+    # each unmatched row, row -> each of its columns, matched column -> its row
+    src = n_l + n_r
+    B = B.tocoo()
+    u = np.concatenate([np.full(n_l - matched.size, src), B.row,
+                        n_l + row_col[matched]])
+    v = np.concatenate([np.flatnonzero(row_col < 0), n_l + B.col, matched])
+    alt = csr_matrix((np.ones(u.size), (u, v)), shape=(src + 1, src + 1))
+    reached = np.zeros(src + 1, dtype=bool)
+    reached[breadth_first_order(alt, src, return_predecessors=False)] = True
+    return ~reached[:n_l], reached[n_l:src]
 
 
 # -- public bisection operations ----------------------------------------------
@@ -543,12 +478,9 @@ def gpvs_bisect(g, balance_tol=0.2, seed=0):
         right_nodes = np.where(left_is_r, cut_c, cut_r)
         uniq_l, l_idx = np.unique(left_nodes, return_inverse=True)
         uniq_r, r_idx = np.unique(right_nodes, return_inverse=True)
-        adj_left = [[] for _ in range(uniq_l.size)]
-        order = np.lexsort((r_idx, l_idx))
-        for e in order:
-            adj_left[l_idx[e]].append(int(r_idx[e]))
-        pair_l, pair_r = _hopcroft_karp(adj_left, uniq_r.size)
-        cover_l, cover_r = _min_vertex_cover(adj_left, uniq_r.size, pair_l, pair_r)
+        B = csr_matrix((np.ones(l_idx.size), (l_idx, r_idx)),
+                       shape=(uniq_l.size, uniq_r.size))
+        cover_l, cover_r = _min_vertex_cover(B)
         sep_mask[uniq_l[cover_l]] = True
         sep_mask[uniq_r[cover_r]] = True
 

@@ -372,6 +372,50 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["bench", "--config", str(config)]) == 2
     assert "'algorithm'" in capsys.readouterr().err
 
+    # spec fields of the wrong type -> exit 2, naming the field
+    for field, value in (("r", "abc"), ("r", 2.5), ("reg", "x"),
+                         ("max_iters", 1.5)):
+        config.write_text(json.dumps({"input": str(data), "mode": "baseline",
+                                      "folds": 2, "algorithm": "svd_als",
+                                      field: value}))
+        assert cli_main(["bench", "--config", str(config)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    # model files missing a key or holding the wrong kind of value -> exit 2,
+    # naming the file and the key
+    model = tmp_path / "ok_model2"
+    assert cli_main(["fit", "--input", str(data), "--algo", "svd",
+                     "--factors", "2", "--iters", "3", "--out", str(model)]) == 0
+
+    def drop(key):
+        return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+    def drop_root_rows(doc):
+        doc["root"] = drop("rows")(doc["root"])
+        return doc
+
+    cases = [("manifest.json", drop("mu"), "'mu'"),
+             ("manifest.json", drop("n_blocks"), "'n_blocks'"),
+             ("manifest.json", drop("spec"), "'spec'"),
+             ("manifest.json", lambda doc: {**doc, "value_range": ["a", "b"]},
+              "'value_range'"),
+             ("tree.json", drop("mode"), "'mode'"),
+             ("tree.json", drop_root_rows, "'rows'"),
+             ("tree.json", lambda doc: [doc], "list"),
+             ("block_0000.fac.json", drop("history"), "'history'")]
+    capsys.readouterr()
+    for name, mutate, key in cases:
+        path = model / name
+        text = path.read_text()
+        path.write_text(json.dumps(mutate(json.loads(text))))
+        assert cli_main(["predict", "--model", str(model),
+                         "--pairs", str(pairs)]) == 2, (name, key)
+        err = capsys.readouterr().err
+        assert name in err and key in err, err
+        path.write_text(text)
+    assert cli_main(["predict", "--model", str(model),
+                     "--pairs", str(pairs)]) == 0
+
 
 def test_predict_labels_and_cli_fall_back_on_unknown_labels(tmp_path, capsys):
     from lmf import lmf_fit

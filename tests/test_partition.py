@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from lmf import gpes_bisect, gpvs_bisect, partition, to_bipartite
 from lmf.errors import NoSplitError, TooSmallError
@@ -12,6 +14,7 @@ from lmf.partition import (
     _cut_value,
     _heavy_edge_matching,
     _level_from_graph,
+    _min_vertex_cover,
     _part_cap,
 )
 
@@ -226,23 +229,25 @@ def test_gpvs_determinism_across_calls():
         assert [p.tolist() for p in r.parts] == [p.tolist() for p in runs[0].parts]
 
 
+def _random_biadjacency(rng):
+    nl, nr = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    edges = sorted({(int(rng.integers(nl)), int(rng.integers(nr)))
+                    for _ in range(int(rng.integers(1, 14)))})
+    u, v = np.array(edges).T
+    return csr_matrix((np.ones(u.size), (u, v)), shape=(nl, nr)), edges
+
+
 def test_min_vertex_cover_is_minimum():
     """The matching-based cover used to derive separators must be a true
     vertex cover of minimum size (brute-force oracle on small graphs)."""
-    from lmf.partition import _hopcroft_karp, _min_vertex_cover
-
     rng = np.random.default_rng(77)
     for trial in range(60):
-        nl, nr = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        edges = sorted({(int(rng.integers(nl)), int(rng.integers(nr)))
-                        for _ in range(int(rng.integers(1, 14)))})
-        adj = [[] for _ in range(nl)]
-        for u, v in edges:
-            adj[u].append(v)
-        pair_l, pair_r = _hopcroft_karp(adj, nr)
-        cover_l, cover_r = _min_vertex_cover(adj, nr, pair_l, pair_r)
-        cl, cr = set(cover_l.tolist()), set(cover_r.tolist())
-        assert all(u in cl or v in cr for u, v in edges), "not a cover"
+        B, edges = _random_biadjacency(rng)
+        nl, nr = B.shape
+        cover_l, cover_r = _min_vertex_cover(B)
+        assert cover_l.dtype == bool and cover_l.shape == (nl,)
+        assert cover_r.dtype == bool and cover_r.shape == (nr,)
+        assert all(cover_l[u] or cover_r[v] for u, v in edges), "not a cover"
         # brute force the minimum cover size over all node subsets
         best = nl + nr
         for mask in range(1 << (nl + nr)):
@@ -252,9 +257,66 @@ def test_min_vertex_cover_is_minimum():
                 continue
             if all(u in ls or v in rs for u, v in edges):
                 best = len(ls) + len(rs)
-        assert len(cl) + len(cr) == best
-        # matching size equals cover size (sanity on the matching itself)
-        assert int((pair_l >= 0).sum()) == best
+        assert int(cover_l.sum() + cover_r.sum()) == best
+        # matching size equals cover size (Koenig)
+        match = maximum_bipartite_matching(B, perm_type="column")
+        assert int((match >= 0).sum()) == best
+
+
+def test_min_vertex_cover_does_not_depend_on_the_matching():
+    """Permuting rows and columns makes the matcher find other maximum
+    matchings; mapped back, the cover stays the same."""
+    rng = np.random.default_rng(78)
+    other_matchings = 0
+    for trial in range(60):
+        B, _ = _random_biadjacency(rng)
+        pr, pc = rng.permutation(B.shape[0]), rng.permutation(B.shape[1])
+        Bp = csr_matrix(B[pr][:, pc])
+        cover_l, cover_r = _min_vertex_cover(B)
+        perm_l, perm_r = _min_vertex_cover(Bp)
+        assert np.array_equal(perm_l, cover_l[pr])
+        assert np.array_equal(perm_r, cover_r[pc])
+        match = maximum_bipartite_matching(B, perm_type="column")
+        match_p = maximum_bipartite_matching(Bp, perm_type="column")
+        back = np.full_like(match, -1)
+        back[pr] = np.where(match_p >= 0, pc[match_p], -1)
+        other_matchings += not np.array_equal(back, match)
+    assert other_matchings > 0
+
+
+def test_contract_equals_dense_oracle():
+    """Contraction is C'AC with the diagonal zeroed, C the fine-to-coarse
+    indicator, stored as sorted int64 CSR; includes a matching that leaves
+    no edges."""
+    rng = np.random.default_rng(79)
+    cases = []
+    for _ in range(20):
+        nr, nc = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        pairs = {(int(rng.integers(nr)), int(rng.integers(nc)))
+                 for _ in range(int(rng.integers(1, 3 * (nr + nc))))}
+        fine = _level_from_graph(graph(nr, nc, sorted(pairs)))
+        cases.append((fine, _heavy_edge_matching(fine, rng)))
+        # a second level carries edge and node weights
+        _, coarse = _contract(fine, cases[-1][1])
+        cases.append((coarse, _heavy_edge_matching(coarse, rng)))
+    one_edge = _level_from_graph(graph(1, 1, [(0, 0)]))
+    cases.append((one_edge, np.array([1, 0])))
+    for level, match in cases:
+        cmap, got = _contract(level, match)
+        n, nc = level.n, int(cmap.max()) + 1
+        A = np.zeros((n, n), dtype=np.int64)
+        src = np.repeat(np.arange(n), np.diff(level.xadj))
+        A[src, level.adjncy] = level.adjwgt
+        C = np.zeros((n, nc), dtype=np.int64)
+        C[np.arange(n), cmap] = 1
+        want = C.T @ A @ C
+        np.fill_diagonal(want, 0)
+        rows, cols = np.nonzero(want)
+        xadj = np.searchsorted(rows, np.arange(nc + 1))
+        for a, b in ((got.xadj, xadj), (got.adjncy, cols),
+                     (got.adjwgt, want[rows, cols]), (got.vwgt, C.T @ level.vwgt)):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert got.n == 1 and got.adjncy.size == 0
 
 
 def test_planted_two_community_recovery():
