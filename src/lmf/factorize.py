@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -72,7 +73,8 @@ class FactorizerSpec:
     def validate(self):
         """Return self, or raise :class:`SpecError` for a field of the
         wrong type and ``ValueError`` for an unknown algorithm or a value
-        out of range. Booleans count as neither integers nor reals."""
+        out of range, NaN and infinities included. Booleans count as
+        neither integers nor reals."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for name in ("r", "max_iters", "seed", "reg", "reg_user", "reg_item",
@@ -89,10 +91,11 @@ class FactorizerSpec:
                             f"{self.levels!r}, not a list of numbers")
         if self.r < 1:
             raise ValueError("factor count r must be >= 1")
-        for name in ("reg", "reg_user", "reg_item", "margin_c"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.learning_rate <= 0:
+        for name in ("reg", "reg_user", "reg_item", "margin_c",
+                     "learning_rate", "convergence_tol"):
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if self.learning_rate == 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -147,6 +150,29 @@ def _dots(U, V, rows, cols):
         np.einsum("ij,ij->i", U[rows[s:s + step]], V[cols[s:s + step]],
                   out=out[s:s + step])
     return out
+
+
+def _sgd_levels(rows, cols, order):
+    """``order`` split into batches that SGD can run at once, in order.
+
+    An entry's level is one more than the deepest entry before it in
+    ``order`` that shares its row or its column. Entries of one level share
+    no row and no column, and every row's and every column's entries keep
+    their relative order, so running the levels one after another, each as
+    one vectorized step, gives the iterates of the sequential sweep.
+    """
+    order = np.asarray(order)
+    seq_rows, seq_cols = rows[order].tolist(), cols[order].tolist()
+    row_depth = [0] * (max(seq_rows, default=-1) + 1)
+    col_depth = [0] * (max(seq_cols, default=-1) + 1)
+    depth = []
+    for i, j in zip(seq_rows, seq_cols):
+        d = row_depth[i] if row_depth[i] > col_depth[j] else col_depth[j]
+        row_depth[i] = col_depth[j] = d + 1
+        depth.append(d)
+    depth = np.array(depth, dtype=np.intp)
+    ends = np.cumsum(np.bincount(depth))[:-1]
+    return np.split(order[np.argsort(depth, kind="stable")], ends)
 
 
 def _sse(m, U, V):
@@ -246,31 +272,20 @@ def _pmf_objective(m, spec, U, V, thresholds):
 
 def _pmf_epoch(m, spec, rng, sample_order):
     lr, ru, rv = spec.learning_rate, spec.reg_user, spec.reg_item
-    rows, cols, vals = m.rows.tolist(), m.cols.tolist(), m.vals.tolist()
-    step, tmp = np.empty(spec.r), np.empty(spec.r)
-    mul, add, sub = np.multiply, np.add, np.subtract
 
     def sweep(U, V):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
         # overflow shows up as a non-finite objective
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in np.asarray(order).tolist():
-                i, j = rows[t], cols[t]
-                ui = U[i]
-                vj = V[j]
-                e = vals[t] - float(ui @ vj)
+            for t in _sgd_levels(m.rows, m.cols, order):
+                i, j = m.rows[t], m.cols[t]
+                ui, vj = U[i], V[j]
+                e = (m.vals[t] - np.vecdot(ui, vj))[:, None]
                 # ui += lr * (e * vj - ru * ui), then the same for vj, which
-                # moves along the updated ui (a view of U[i])
-                mul(vj, e, out=step)
-                mul(ui, ru, out=tmp)
-                sub(step, tmp, out=step)
-                mul(step, lr, out=step)
-                add(ui, step, out=ui)
-                mul(ui, e, out=step)
-                mul(vj, rv, out=tmp)
-                sub(step, tmp, out=step)
-                mul(step, lr, out=step)
-                add(vj, step, out=vj)
+                # moves along the updated ui
+                ui += (vj * e - ui * ru) * lr
+                vj += (ui * e - vj * rv) * lr
+                U[i], V[j] = ui, vj
     return sweep
 
 
@@ -311,51 +326,32 @@ def _mmmf_objective(m, spec, U, V, thresholds):
 def _mmmf_epoch(m, spec, rng, sample_order):
     levels, lev_idx = _mmmf_levels(m, spec)
     n_th = levels.size - 1
-    mids = (levels[:-1] + levels[1:]) / 2.0 if n_th else np.empty(0)
-    # at most a few thresholds per row: Python floats, updated in the
-    # vectorized form's operation order so the iterates stay bitwise equal
-    th_rows = np.tile(mids, (m.n_rows, 1)).tolist()
-
-    n_i = np.maximum(m.row_counts(), 1).astype(np.float64).tolist()
-    m_j = np.maximum(m.col_counts(), 1).astype(np.float64).tolist()
+    th = np.tile((levels[:-1] + levels[1:]) / 2.0, (m.n_rows, 1))
+    # the +-1 sign of every threshold for each entry: +1 at or above its level
+    signs = np.where(np.arange(n_th) >= lev_idx[:, None], 1.0, -1.0)
+    n_i = np.maximum(m.row_counts(), 1).astype(np.float64)[:, None]
+    m_j = np.maximum(m.col_counts(), 1).astype(np.float64)[:, None]
     lr, C = spec.learning_rate, spec.margin_c
-    rows, cols = m.rows.tolist(), m.cols.tolist()
-    # the +-1 sign of every threshold for each level: +1 at or above it
-    signs = [[1.0 if k >= lev else -1.0 for k in range(n_th)]
-             for lev in range(levels.size)]
-    entry_signs = [signs[lev] for lev in lev_idx.tolist()]
-    step, tmp = np.empty(spec.r), np.empty(spec.r)
-    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
     def sweep(U, V):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
-        for t in np.asarray(order).tolist():
-            i, j = rows[t], cols[t]
-            ui = U[i]
-            vj = V[j]
-            th = th_rows[i]
-            s = float(ui @ vj)
-            acc = 0.0
-            for k, sk in enumerate(entry_signs[t]):
-                z = sk * (th[k] - s)
-                g = 0.0 if z >= 1.0 else (z - 1.0 if z > 0.0 else -1.0)
-                c = C * (g * sk)
-                acc += c
-                th[k] -= lr * c
-            gs = -acc if n_th else 0.0
+        for t in _sgd_levels(m.rows, m.cols, order):
+            i, j = m.rows[t], m.cols[t]
+            ui, vj = U[i], V[j]
+            sk = signs[t]
+            z = sk * (th[i] - np.vecdot(ui, vj)[:, None])
+            c = C * (np.where(z >= 1.0, 0.0, np.where(z > 0.0, z - 1.0, -1.0))
+                     * sk)
+            th[i] -= lr * c
+            # each entry's threshold gradients summed left to right from 0.0,
+            # as the per-entry loop summed them (a row reduction would not)
+            gs = -sum(c.T, np.zeros(len(t)))[:, None] if n_th else 0.0
             # ui -= lr * (gs * vj + ui / n_i), then the same for vj, which
-            # moves along the updated ui (a view of U[i])
-            mul(vj, gs, out=step)
-            div(ui, n_i[i], out=tmp)
-            add(step, tmp, out=step)
-            mul(step, lr, out=step)
-            sub(ui, step, out=ui)
-            mul(ui, gs, out=step)
-            div(vj, m_j[j], out=tmp)
-            add(step, tmp, out=step)
-            mul(step, lr, out=step)
-            sub(vj, step, out=vj)
-        return np.array(th_rows, dtype=np.float64)
+            # moves along the updated ui
+            ui -= (vj * gs + ui / n_i[i]) * lr
+            vj -= (ui * gs + vj / m_j[j]) * lr
+            U[i], V[j] = ui, vj
+        return th.copy()
     return sweep
 
 

@@ -381,6 +381,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli_main(["bench", "--config", str(config)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    # non-finite or negative hyperparameters -> exit 2, naming the field
+    for algorithm, field, value in (("svd_als", "reg", float("nan")),
+                                    ("pmf_sgd", "learning_rate", float("inf")),
+                                    ("svd_als", "convergence_tol", -1.0)):
+        config.write_text(json.dumps({"input": str(data), "mode": "baseline",
+                                      "folds": 2, "algorithm": algorithm,
+                                      field: value}))
+        assert cli_main(["bench", "--config", str(config)]) == 2
+        assert field in capsys.readouterr().err
+
     # model files missing a key or holding the wrong kind of value -> exit 2,
     # naming the file and the key
     model = tmp_path / "ok_model2"

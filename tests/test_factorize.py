@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmf import (
     FactorPair,
@@ -12,7 +13,7 @@ from lmf import (
     save_factors,
 )
 from lmf.errors import DivergenceError, DomainError, EmptyInputError, ShapeError
-from lmf.factorize import _dots
+from lmf.factorize import _dots, _sgd_levels
 
 
 def full_matrix(values):
@@ -156,6 +157,13 @@ def test_spec_validation():
         FactorizerSpec(algorithm="nmf", r=0).validate()
     with pytest.raises(ValueError):
         FactorizerSpec(algorithm="nmf", r=2, reg=-0.1).validate()
+    for field, value in (("reg", float("nan")), ("reg_user", float("inf")),
+                         ("reg_item", -float("inf")), ("margin_c", float("nan")),
+                         ("learning_rate", float("inf")), ("learning_rate", 0.0),
+                         ("convergence_tol", -1.0), ("convergence_tol", 10**400)):
+        with pytest.raises(ValueError, match=field):
+            FactorizerSpec(algorithm="pmf_sgd", r=2, **{field: value}).validate()
+    FactorizerSpec(algorithm="pmf_sgd", r=2, convergence_tol=0).validate()
 
 
 # -- prediction ---------------------------------------------------------------------
@@ -391,7 +399,8 @@ def test_pmf_blockwise_equals_joint_run_with_partitioned_order():
 
 def _mmmf_reference(m, spec, U, V, order):
     """The vectorized mmmf_fast SGD loop, kept as the reference that the
-    scalar kernel must reproduce bit for bit."""
+    level-scheduled kernel must reproduce bit for bit. ``order`` is one
+    visit order for every epoch or one row of orders per epoch."""
     def hinge_grad(z):
         return np.where(z >= 1.0, 0.0, np.where(z > 0.0, z - 1.0, -1.0))
 
@@ -405,8 +414,8 @@ def _mmmf_reference(m, spec, U, V, order):
     rows, cols = m.rows, m.cols
     sign = np.arange(n_th)
     trace = []
-    for _ in range(spec.max_iters):
-        for t in order:
+    for epoch_order in np.broadcast_to(order, (spec.max_iters, m.nnz)):
+        for t in epoch_order:
             i, j = rows[t], cols[t]
             ui = U[i]
             vj = V[j]
@@ -499,12 +508,13 @@ def test_als_iterates_match_lu_reference():
 
 
 def _pmf_reference(m, spec, U, V, order):
-    """The pmf_sgd loop that the in-place kernel replaced, kept as the
-    reference it must reproduce bit for bit."""
+    """The per-entry pmf_sgd loop, kept as the reference that the
+    level-scheduled kernel must reproduce bit for bit. ``order`` is one
+    visit order for every epoch or one row of orders per epoch."""
     lr, ru, rv = spec.learning_rate, spec.reg_user, spec.reg_item
     trace = []
-    for _ in range(spec.max_iters):
-        for t in order:
+    for epoch_order in np.broadcast_to(order, (spec.max_iters, m.nnz)):
+        for t in epoch_order:
             i, j = m.rows[t], m.cols[t]
             ui = U[i]
             vj = V[j]
@@ -532,6 +542,66 @@ def test_pmf_iterates_equal_reference():
     assert len(trace) == len(ref) == spec.max_iters
     for (U, V), (Ur, Vr) in zip(trace, ref):
         assert np.array_equal(U, Ur) and np.array_equal(V, Vr)
+
+
+@pytest.mark.parametrize("algo", ["pmf_sgd", "mmmf_fast"])
+def test_sgd_iterates_equal_reference_at_block_size(algo):
+    # a blocks8-shaped block at the default r, with the epoch orders that
+    # factorize draws from the seed when no sample_order is given
+    rng = np.random.default_rng(27)
+    r, c, v = random_block(rng, 60, 120, 0.1)
+    m = RatingMatrix(60, 120, r, c, v)
+    spec = FactorizerSpec(algorithm=algo, r=60, max_iters=2,
+                          convergence_tol=0.0, seed=5,
+                          levels=(1.0, 2.0, 3.0, 4.0, 5.0))
+    U0 = rng.standard_normal((60, 60)) / np.sqrt(60)
+    V0 = rng.standard_normal((120, 60)) / np.sqrt(60)
+    draw = np.random.default_rng(spec.seed)
+    orders = [draw.permutation(m.nnz) for _ in range(spec.max_iters)]
+    trace = []
+    pair = factorize(m, spec, init=(U0, V0), iterate_hook=lambda it, U, V:
+                     trace.append((U.copy(), V.copy())))
+    if algo == "pmf_sgd":
+        ref = _pmf_reference(m, spec, U0.copy(), V0.copy(), orders)
+    else:
+        ref, ref_thresholds = _mmmf_reference(m, spec, U0.copy(), V0.copy(),
+                                              orders)
+        assert np.array_equal(pair.thresholds, ref_thresholds)
+    assert len(trace) == len(ref) == spec.max_iters
+    for (U, V), (Ur, Vr) in zip(trace, ref):
+        assert np.array_equal(U, Ur) and np.array_equal(V, Vr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30)
+       .flatmap(lambda cells: st.tuples(st.just(cells),
+                                        st.permutations(range(len(cells))))))
+def test_levels_are_conflict_free_and_keep_each_line_in_order(case):
+    cells, order = case
+    rows = np.array([i for i, _ in cells], dtype=np.intp)
+    cols = np.array([j for _, j in cells], dtype=np.intp)
+    levels = _sgd_levels(rows, cols, np.array(order, dtype=np.intp))
+    merged = [t for level in levels for t in level.tolist()]
+    assert sorted(merged) == sorted(order)
+    for level in levels:
+        assert len(set(rows[level].tolist())) == level.size
+        assert len(set(cols[level].tolist())) == level.size
+    for line in (rows, cols):
+        for x in set(line.tolist()):
+            assert ([t for t in merged if line[t] == x]
+                    == [t for t in order if line[t] == x])
+
+
+@pytest.mark.parametrize("r", [1, 3, 4, 16, 17, 60])
+def test_vecdot_rows_equal_scalar_dots(r):
+    # the SGD kernels take each level's dot products from np.vecdot and
+    # stay bitwise equal to the sequential sweep only while its rows equal
+    # the 1-D products
+    rng = np.random.default_rng(28)
+    A = rng.standard_normal((200, r))
+    B = rng.standard_normal((200, r)) * 10.0
+    expect = np.array([float(A[k] @ B[k]) for k in range(200)])
+    assert np.array_equal(np.vecdot(A, B), expect)
 
 
 @pytest.mark.parametrize("r", [3, 60])
