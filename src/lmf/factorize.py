@@ -134,15 +134,21 @@ def _converged(history, tol):
     return abs(prev - cur) <= tol * max(abs(prev), 1e-12)
 
 
+def _chunk_rows(r):
+    """Rows of an ``(n, r)`` float64 gather that fill about 1 MiB, so a
+    chunk stays in a core's L2 cache."""
+    return max(1, 2**20 // (8 * r))
+
+
 def _dots(U, V, rows, cols):
     """``U[rows[t]] . V[cols[t]]`` for every ``t``.
 
-    Works through chunks of about 1 MiB per gathered slice, so both stay in
-    a core's L2 cache. Each element is the same einsum reduction as over the
-    whole gather, so the result is bitwise equal to one einsum; a batch of
-    one chunk or less is that one einsum.
+    Works through chunks of :func:`_chunk_rows` rows per gathered slice.
+    Each element is the same einsum reduction as over the whole gather, so
+    the result is bitwise equal to one einsum; a batch of one chunk or less
+    is that one einsum.
     """
-    step = max(1, 2**20 // (8 * U.shape[1]))
+    step = _chunk_rows(U.shape[1])
     if len(rows) <= step:
         return np.einsum("ij,ij->i", U[rows], V[cols])
     out = np.empty(len(rows))
@@ -291,6 +297,8 @@ def _pmf_epoch(m, spec, rng, sample_order):
 
 # -- fast maximum-margin with smooth hinge --------------------------------------
 
+# overflow in the mmmf arithmetic shows up as a non-finite objective
+@np.errstate(over="ignore", invalid="ignore")
 def _smooth_hinge(z):
     out = np.where(z >= 1.0, 0.0,
                    np.where(z > 0.0, 0.5 * (1.0 - z) ** 2, 0.5 - z))
@@ -309,6 +317,7 @@ def _mmmf_levels(m, spec):
     return levels, lev_idx
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mmmf_objective(m, spec, U, V, thresholds):
     _, lev_idx = _mmmf_levels(m, spec)
     n_th = thresholds.shape[1] if thresholds is not None else 0
@@ -333,6 +342,7 @@ def _mmmf_epoch(m, spec, rng, sample_order):
     m_j = np.maximum(m.col_counts(), 1).astype(np.float64)[:, None]
     lr, C = spec.learning_rate, spec.margin_c
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sweep(U, V):
         order = rng.permutation(m.nnz) if sample_order is None else sample_order
         for t in _sgd_levels(m.rows, m.cols, order):

@@ -27,6 +27,7 @@ from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
 from .errors import LMFError, MissingLabelsError, ShapeError, require_keys
 from .factorize import (
     FactorPair,
+    _chunk_rows,
     _dots,
     _is_number,
     factorize,
@@ -137,22 +138,31 @@ class LMFModel:
             Ir, Jr = I[rest], J[rest]
             out[rest] = self.mu + self.b_user[Ir] + self.b_item[Jr]
             if self.uncovered == "cross":
-                su = np.zeros((rest.size, self.spec.r))
-                sv = np.zeros((rest.size, self.spec.r))
-                n_a = np.zeros(rest.size, dtype=np.int64)
-                n_b = np.zeros(rest.size, dtype=np.int64)
-                for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
-                    li, lj = rp[Ir], cp[Jr]
-                    a, b = li >= 0, lj >= 0
-                    su[a] += pair.U[li[a]]
-                    sv[b] += pair.V[lj[b]]
-                    n_a += a
-                    n_b += b
-                n = n_a * n_b
-                ok = n > 0
-                out[rest[ok]] = np.einsum("ij,ij->i", su[ok], sv[ok]) / n[ok]
+                step = _chunk_rows(self.spec.r)
+                for s in range(0, rest.size, step):
+                    chunk = rest[s:s + step]
+                    mean, ok = self._cross_mean(Ir[s:s + step], Jr[s:s + step])
+                    out[chunk[ok]] = mean
         lo, hi = self.value_range
         return np.clip(out, lo, hi), covered
+
+    def _cross_mean(self, I, J):
+        """``(sum_a U_a[i]) . (sum_b V_b[j]) / (n_a n_b)`` for the cells
+        with at least one such pair of blocks, and the mask of those cells."""
+        su = np.zeros((I.size, self.spec.r))
+        sv = np.zeros((I.size, self.spec.r))
+        n_a = np.zeros(I.size, dtype=np.int64)
+        n_b = np.zeros(I.size, dtype=np.int64)
+        for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
+            li, lj = rp[I], cp[J]
+            a, b = li >= 0, lj >= 0
+            su[a] += pair.U[li[a]]
+            sv[b] += pair.V[lj[b]]
+            n_a += a
+            n_b += b
+        n = n_a * n_b
+        ok = n > 0
+        return np.einsum("ij,ij->i", su[ok], sv[ok]) / n[ok], ok
 
     def predict_labels(self, users, items):
         """:meth:`predict_many` over user and item labels.

@@ -35,6 +35,9 @@ from .errors import NoSplitError, TooSmallError
 COARSE_TARGET = 200  # stop coarsening once at or below this many nodes
 _FM_MAX_PASSES = 12
 _FM_STALL = 100  # end an FM pass this many moves after its best prefix
+FM_DENSE_DEGREE = 16  # mean degree from which FM's masked argmax beats its heap
+_UNSEEN = np.iinfo(np.int64).min  # masked gain of a node not yet eligible
+_LOCKED = -2 ** 62  # masked gain of a locked node, far below any real gain
 _INIT_TRIES = 4
 _BISECT_TRIES = 2
 
@@ -44,8 +47,9 @@ class BipartiteGraph:
     """Row/column bipartite graph of a sparse matrix.
 
     R-nodes occupy ids ``[0, n_r)``; C-nodes occupy ``[n_r, n_r + n_c)``.
-    Edges connect R-nodes to C-nodes only and are unweighted; node weights
-    are 1 at the finest level and aggregate under coarsening.
+    Edges connect R-nodes to C-nodes only, one per distinct entry, and are
+    unweighted; node weights are 1 at the finest level and aggregate under
+    coarsening.
     """
 
     n_r: int
@@ -66,6 +70,13 @@ class BipartiteGraph:
         dst = np.concatenate([edge_c, rows])
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
+        # a repeated entry is one edge: FM's vectorized gain update needs
+        # every neighbour once per CSR row
+        keep = np.ones(src.size, dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        if not keep.all():
+            src, dst = src[keep], dst[keep]
+            rows, edge_c = src[src < n_rows], dst[src < n_rows]
         xadj = np.searchsorted(src, np.arange(n + 1))
         if node_weights is None:
             node_weights = np.ones(n, dtype=np.int64)
@@ -217,43 +228,67 @@ def _grow_from_seed(level, seed_node, cap, total_w):
 
 
 def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
-    """Boundary Fiduccia-Mattheyses refinement with a lazy gain heap.
+    """Boundary Fiduccia-Mattheyses refinement of ``side``, in place.
 
-    A pass ends once ``_FM_STALL`` consecutive moves set no new best
-    ``(cut, imbalance)``, and rolls back to its best prefix. The move loop
-    runs on plain Python ints and lists, which index far faster than
-    numpy scalars; ``side`` is updated in place and returned."""
+    Each move takes the unlocked eligible node of largest gain, lowest
+    index on ties; a node is eligible if it is on the boundary when the
+    pass starts or a neighbour of it has moved. A pass ends once
+    ``_FM_STALL`` consecutive moves set no new best ``(cut, imbalance)``,
+    and rolls back to its best prefix. Levels of mean degree at least
+    ``FM_DENSE_DEGREE`` pick each move by argmax over a gain vector masked
+    where a node is locked or not eligible, and update the neighbours in
+    one vectorized step; sparser levels pop a lazy ``(-gain, v)`` heap on
+    plain Python ints, which index far faster than numpy scalars. Both
+    kernels make the same moves."""
     n = level.n
     xadj, adjncy, adjwgt, vwgt = level.xadj, level.adjncy, level.adjwgt, level.vwgt
     total_w = int(vwgt.sum())
     cap = _part_cap(total_w, vwgt.max() if n else 1, tol)
-    xa, adj, aw, vw = xadj.tolist(), adjncy.tolist(), adjwgt.tolist(), vwgt.tolist()
+    xa, vw = xadj.tolist(), vwgt.tolist()
+    dense = adjncy.size >= FM_DENSE_DEGREE * n
+    if dense:
+        w2 = 2 * adjwgt
+    else:
+        adj, aw = adjncy.tolist(), adjwgt.tolist()
 
     deg = np.diff(xadj)
     src = np.repeat(np.arange(n), deg)
+    wdeg = np.bincount(src, weights=adjwgt, minlength=n)
 
     for _ in range(max_passes):
-        same = side[src] == side[adjncy]
-        internal = np.bincount(src, weights=np.where(same, adjwgt, 0), minlength=n)
-        external = np.bincount(src, weights=np.where(same, 0, adjwgt), minlength=n)
-        gain = (external - internal).astype(np.int64).tolist()
+        crossing = np.repeat(side, deg) != side[adjncy]
+        external = np.bincount(src, weights=adjwgt * crossing, minlength=n)
+        gain = (2 * external - wdeg).astype(np.int64)
         cur_cut = best_cut = int(external.sum()) // 2
-        sd = side.tolist()
         w1, n1 = int(vwgt[side == 1].sum()), int(side.sum())
         part_w, part_n = [total_w - w1, w1], [n - n1, n1]
-
-        locked = [False] * n
-        heap = [(-gain[v], v) for v in np.flatnonzero(external > 0).tolist()]
-        heapq.heapify(heap)
+        boundary = np.flatnonzero(external > 0)
+        if dense:
+            sd = side
+            key = np.full(n, _UNSEEN)
+            key[boundary] = gain[boundary]
+        else:
+            sd, gain = side.tolist(), gain.tolist()
+            locked = [False] * n
+            heap = [(-gain[v], v) for v in boundary.tolist()]
+            heapq.heapify(heap)
         moves = []
         best_k, best_imb = 0, abs(part_w[0] - part_w[1])
 
-        while heap and len(moves) - best_k < _FM_STALL:
-            ng, v = heapq.heappop(heap)
-            if locked[v] or -ng != gain[v]:
-                continue
-            locked[v] = True
-            s = sd[v]
+        while (dense or heap) and len(moves) - best_k < _FM_STALL:
+            if dense:
+                v = int(key.argmax())
+                g = int(key[v])
+                if g < _LOCKED // 2:
+                    break
+                gain[v] = key[v] = _LOCKED
+            else:
+                ng, v = heapq.heappop(heap)
+                if locked[v] or -ng != gain[v]:
+                    continue
+                g = -ng
+                locked[v] = True
+            s = int(sd[v])
             t = 1 - s
             if part_n[s] <= 1 or part_w[t] + vw[v] > cap:
                 continue
@@ -262,21 +297,28 @@ def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
             part_w[t] += vw[v]
             part_n[s] -= 1
             part_n[t] += 1
-            cur_cut -= gain[v]
+            cur_cut -= g
             moves.append(v)
-            for e in range(xa[v], xa[v + 1]):
-                u = adj[e]
-                if locked[u]:
-                    continue
-                gain[u] += 2 * aw[e] if sd[u] == s else -2 * aw[e]
-                heapq.heappush(heap, (-gain[u], u))
+            lo, hi = xa[v], xa[v + 1]
+            if dense:
+                # no CSR row repeats a neighbour, so the scatter is exact
+                nb = adjncy[lo:hi]
+                step = np.where(sd[nb] == s, w2[lo:hi], -w2[lo:hi])
+                key[nb] = gain[nb] = gain[nb] + step
+            else:
+                for e in range(lo, hi):
+                    u = adj[e]
+                    if locked[u]:
+                        continue
+                    gain[u] += 2 * aw[e] if sd[u] == s else -2 * aw[e]
+                    heapq.heappush(heap, (-gain[u], u))
             imb = abs(part_w[0] - part_w[1])
             if cur_cut < best_cut or (cur_cut == best_cut and imb < best_imb):
                 best_cut, best_k, best_imb = cur_cut, len(moves), imb
 
-        for v in moves[best_k:]:
-            sd[v] = 1 - sd[v]
         side[:] = sd
+        undo = moves[best_k:]
+        side[undo] = 1 - side[undo]
         if best_k == 0:
             break
     return side

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,19 @@ def test_pmf_divergence_reported():
     with pytest.raises(DivergenceError) as err:
         factorize(m, spec)
     assert err.value.iteration >= 0
+
+
+def test_mmmf_divergence_reported_without_runtime_warnings():
+    rng = np.random.default_rng(3)
+    r, c, v = random_block(rng, 30, 40, 0.3)
+    m = RatingMatrix(30, 40, r, c, v)
+    spec = FactorizerSpec(algorithm="mmmf_fast", r=4, learning_rate=500.0,
+                          max_iters=50, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            factorize(m, spec)
+    assert err.value.exit_code == 3
 
 
 def test_spec_validation():

@@ -24,6 +24,7 @@ from lmf import (
     save_factors,
 )
 from lmf.errors import DomainError, MissingLabelsError, ShapeError
+from lmf import model as model_module
 from lmf.model import _single_blas_thread, fallback_biases
 
 from conftest import planted_blocks
@@ -398,6 +399,37 @@ def test_cross_fallback_equals_pairwise_mean_on_nested_tree():
     assert not covered[6 * 14 + 9]
     assert covered.sum() == sum(model.coverage_count(i, j) > 0
                                 for i, j in zip(I, J))
+
+
+def test_cross_fallback_chunks_equal_one_batch(monkeypatch):
+    rng = np.random.default_rng(13)
+    m = nested_matrix(rng)
+    model = lmf_fit(nested_tree(m), m, SPEC, uncovered="cross")
+    I, J = np.divmod(rng.integers(0, 14 * 14, 500), 14)
+    # the unchunked expression: one (uncovered pairs x r) sum per side
+    _, covered = model.predict_many(I, J)
+    Ir, Jr = I[~covered], J[~covered]
+    su = np.zeros((Ir.size, model.spec.r))
+    sv = np.zeros((Ir.size, model.spec.r))
+    n_a = np.zeros(Ir.size, dtype=np.int64)
+    n_b = np.zeros(Ir.size, dtype=np.int64)
+    for rows_a, cols_a, pair in zip(model.block_rows, model.block_cols,
+                                    model.pairs):
+        li, lj = np.full(14, -1), np.full(14, -1)
+        li[rows_a], lj[cols_a] = np.arange(rows_a.size), np.arange(cols_a.size)
+        a, b = li[Ir] >= 0, lj[Jr] >= 0
+        su[a] += pair.U[li[Ir[a]]]
+        sv[b] += pair.V[lj[Jr[b]]]
+        n_a += a
+        n_b += b
+    n = n_a * n_b
+    want = model.mu + model.b_user[Ir] + model.b_item[Jr]
+    want[n > 0] = np.einsum("ij,ij->i", su[n > 0], sv[n > 0]) / n[n > 0]
+    want = np.clip(want, *model.value_range)
+    monkeypatch.setattr(model_module, "_chunk_rows", lambda r: 7)
+    pred, _ = model.predict_many(I, J)
+    assert (n > 0).sum() > 7
+    assert np.array_equal(pred[~covered], want)
 
 
 def _saved_model(tmp_path):

@@ -1,12 +1,13 @@
 import heapq
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from lmf import gpes_bisect, gpvs_bisect, partition, to_bipartite
+from lmf import balanced_permute, gpes_bisect, gpvs_bisect, partition, to_bipartite
 from lmf.errors import NoSplitError, TooSmallError
 from lmf.partition import (
     BipartiteGraph,
@@ -18,7 +19,7 @@ from lmf.partition import (
     _part_cap,
 )
 
-from conftest import figure_bridge_matrix
+from conftest import figure_bridge_matrix, planted_blocks
 
 
 def graph(n_r, n_c, pairs):
@@ -413,10 +414,21 @@ def _fm_reference(level, side, tol, max_passes=12):
     return side
 
 
+def _start_side(rng, level):
+    """A random start side whose parts each hold at most half the weight
+    plus one node."""
+    order = rng.permutation(level.n)
+    first = np.cumsum(level.vwgt[order]) <= level.vwgt.sum() / 2
+    side = np.ones(level.n, dtype=np.int8)
+    side[order[first]] = 0
+    side[order[0]] = 0
+    return side
+
+
 def _fm_cases(seed, count):
-    """Seeded random levels (unit weights, and one heavy-edge contraction
-    of each, which carries node and edge weights) with a random start
-    side whose parts each hold at most half the weight plus one node."""
+    """Seeded random sparse levels (unit weights, and one heavy-edge
+    contraction of each, which carries node and edge weights), each with a
+    random start side."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         nr, nc = int(rng.integers(20, 160)), int(rng.integers(20, 160))
@@ -424,12 +436,25 @@ def _fm_cases(seed, count):
         pairs = {(int(rng.integers(nr)), int(rng.integers(nc))) for _ in range(nnz)}
         fine = _level_from_graph(graph(nr, nc, sorted(pairs)))
         for level in (fine, _contract(fine, _heavy_edge_matching(fine, rng))[1]):
-            order = rng.permutation(level.n)
-            first = np.cumsum(level.vwgt[order]) <= level.vwgt.sum() / 2
-            side = np.ones(level.n, dtype=np.int8)
-            side[order[first]] = 0
-            side[order[0]] = 0
-            yield level, side, float(rng.choice([0.05, 0.2, 0.5]))
+            yield level, _start_side(rng, level), float(rng.choice([0.05, 0.2, 0.5]))
+
+
+def _dense_fm_cases(seed, count):
+    """Seeded levels of density 0.2-0.6, most at or above the masked
+    kernel's mean degree, and their contractions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nr, nc = int(rng.integers(20, 120)), int(rng.integers(20, 120))
+        r, c = np.nonzero(rng.random((nr, nc)) < rng.uniform(0.2, 0.6))
+        fine = _level_from_graph(graph(nr, nc, list(zip(r, c))))
+        for level in (fine, _contract(fine, _heavy_edge_matching(fine, rng))[1]):
+            yield level, _start_side(rng, level), float(rng.choice([0.05, 0.2, 0.5]))
+
+
+def _fm_kernel(monkeypatch, level, side, tol, dense):
+    """``_fm_refine`` with the heap kernel or the masked one forced."""
+    monkeypatch.setattr(partition, "FM_DENSE_DEGREE", 0 if dense else np.inf)
+    return partition._fm_refine(level, side.copy(), tol)
 
 
 def test_fm_refine_equals_numpy_reference_when_unbounded(monkeypatch):
@@ -438,6 +463,58 @@ def test_fm_refine_equals_numpy_reference_when_unbounded(monkeypatch):
         want = _fm_reference(level, side.copy(), tol)
         got = partition._fm_refine(level, side.copy(), tol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_fm_kernels_equal_numpy_reference_when_unbounded(monkeypatch):
+    monkeypatch.setattr(partition, "_FM_STALL", 10 ** 9)
+    threshold, dense_levels = partition.FM_DENSE_DEGREE, 0
+    for level, side, tol in itertools.chain(_dense_fm_cases(37, 12),
+                                            _fm_cases(41, 6)):
+        want = _fm_reference(level, side.copy(), tol)
+        for dense in (False, True):
+            got = _fm_kernel(monkeypatch, level, side, tol, dense)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        dense_levels += level.adjncy.size >= threshold * level.n
+    assert dense_levels >= 12
+
+
+@pytest.mark.parametrize("stall", [1, 5, 100])
+def test_fm_masked_kernel_equals_heap_kernel(monkeypatch, stall):
+    monkeypatch.setattr(partition, "_FM_STALL", stall)
+    for level, side, tol in itertools.chain(_dense_fm_cases(53, 15),
+                                            _fm_cases(59, 8)):
+        heap = _fm_kernel(monkeypatch, level, side, tol, dense=False)
+        masked = _fm_kernel(monkeypatch, level, side, tol, dense=True)
+        assert masked.dtype == heap.dtype and np.array_equal(masked, heap)
+
+
+@pytest.mark.parametrize("stall", [1, 5, 100, 10 ** 9])
+def test_fm_kernel_choice_at_the_mean_degree_threshold(monkeypatch, stall):
+    """Levels a hair below and exactly at ``FM_DENSE_DEGREE``: the heap
+    runs only below it, and both sides give the reference's moves."""
+    monkeypatch.setattr(partition, "_FM_STALL", stall)
+    threshold = partition.FM_DENSE_DEGREE
+    pops = []
+    real_pop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
+    rng = np.random.default_rng(61)
+    for trial in range(16):
+        nr, nc = int(rng.integers(30, 60)), int(rng.integers(30, 60))
+        at = int(np.ceil(threshold * (nr + nc) / 2))
+        nnz = at - 1 if trial % 2 else at
+        cells = rng.choice(nr * nc, size=nnz, replace=False)
+        level = _level_from_graph(graph(nr, nc, list(zip(*np.divmod(cells, nc)))))
+        side, tol = _start_side(rng, level), 0.2
+        monkeypatch.setattr(partition, "FM_DENSE_DEGREE", threshold)
+        pops.clear()
+        got = partition._fm_refine(level, side.copy(), tol)
+        assert bool(pops) == bool(trial % 2)
+        heap = _fm_kernel(monkeypatch, level, side, tol, dense=False)
+        masked = _fm_kernel(monkeypatch, level, side, tol, dense=True)
+        for other in (heap, masked):
+            assert other.dtype == got.dtype and np.array_equal(other, got)
+        if stall == 10 ** 9:
+            assert np.array_equal(got, _fm_reference(level, side.copy(), tol))
 
 
 @pytest.mark.parametrize("stall", [1, 5, 100])
@@ -451,3 +528,18 @@ def test_fm_refine_bounded_never_worsens_cut_or_balance(monkeypatch, stall):
         for k in (0, 1):
             assert (out == k).any()
             assert int(level.vwgt[out == k].sum()) <= cap
+
+
+def test_fm_kernel_choice_leaves_bisections_and_trees_unchanged(monkeypatch):
+    rng = np.random.default_rng(67)
+    m = planted_blocks(rng, [(40, 60), (50, 45), (35, 50)], 0.45,
+                       density_cross=0.03, bridge_rows=3)
+    out = []
+    for threshold in (np.inf, 0):
+        monkeypatch.setattr(partition, "FM_DENSE_DEGREE", threshold)
+        part = gpvs_bisect(to_bipartite(m), 0.2, seed=3)
+        tree, _ = balanced_permute(m, 0.6, seed=3)
+        out.append(([p.tolist() for p in part.parts], part.separator.tolist(),
+                     tree.to_json()))
+    assert out[0] == out[1]
+    assert len(json.loads(out[0][2])["root"]["children"]) >= 2
