@@ -23,7 +23,6 @@ from .factorize import (
     factorize,
     load_factors,
     objective_value,
-    predict_entry,
     save_factors,
 )
 from .matrix import (
@@ -37,7 +36,7 @@ from .matrix import (
     restricted_density,
     to_bipartite,
 )
-from .model import LMFModel, coverage_count, lmf_fit, lmf_predict
+from .model import LMFModel, coverage_count, lmf_fit
 from .partition import BipartiteGraph, EdgePartition, VertexPartition, \
     gpes_bisect, gpvs_bisect
 
@@ -52,7 +51,7 @@ __all__ = [
     "balanced_permute", "basic_bbdf_step", "bbdf_permute", "check_tree",
     "community_tree", "coverage_count", "density", "factorize", "fchr",
     "gpes_bisect", "gpvs_bisect", "improve_density", "kfold_split",
-    "lmf_fit", "lmf_predict", "load_factors", "load_ratings",
-    "objective_value", "permutation_from_tree", "predict_entry", "rmse",
-    "restricted_density", "run_benchmark", "save_factors", "to_bipartite",
+    "lmf_fit", "load_factors", "load_ratings", "objective_value",
+    "permutation_from_tree", "restricted_density", "rmse", "run_benchmark",
+    "save_factors", "to_bipartite",
 ]

@@ -27,9 +27,10 @@ from .errors import (
     NoSplitError,
     ShapeError,
     TooSmallError,
+    read_json,
     require_keys,
 )
-from .matrix import IndexPermutation, RatingMatrix, SubmatrixView
+from .matrix import IndexPermutation, RatingMatrix, SubmatrixView, _positions
 from .partition import BipartiteGraph, gpes_bisect, gpvs_bisect
 
 
@@ -142,32 +143,55 @@ class BBDFTree:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        require_keys(doc, ("root", "mode", "seed", "target_density", "n_rows",
-                           "n_cols"), "tree")
+        require_keys(doc, _TREE_KEYS, "tree")
+        return cls._decode(doc)
+
+    @classmethod
+    def _decode(cls, doc):
+        """The tree a parsed ``tree.json`` describes; raises
+        :class:`ShapeError` unless every index lies in range, the root
+        holds every row and column, and at each inner node the children
+        and the borders split the node's rows and columns."""
+        n_rows, n_cols = doc["n_rows"], doc["n_cols"]
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                   for n in (n_rows, n_cols)):
+            raise ShapeError(f"tree 'n_rows' and 'n_cols' must be counts, "
+                             f"found {n_rows!r} and {n_cols!r}")
+        for key, n in (("row_ids", n_rows), ("col_ids", n_cols)):
+            ids = doc.get(key)
+            if ids is not None and not (isinstance(ids, list)
+                                        and len(ids) == n):
+                raise ShapeError(f"tree '{key}' must list {n} labels")
+        if not isinstance(doc.get("rounds", []), list):
+            raise ShapeError("tree 'rounds' must be a list")
 
         def decode(obj, path):
-            require_keys(obj, ("rows", "cols", "row_border", "col_border",
-                               "dropped", "children"), f"tree node {list(path)}")
-            node = BBDFNode(obj["rows"], obj["cols"], path=path)
-            node.row_border = np.asarray(obj["row_border"], dtype=np.int64)
-            node.col_border = np.asarray(obj["col_border"], dtype=np.int64)
-            dropped = np.asarray(obj["dropped"], dtype=np.int64)
-            node.dropped = dropped.reshape(-1, 2)
+            where = f"tree node {list(path)}"
+            require_keys(obj, _NODE_KEYS, where)
+            if not isinstance(obj["children"], list):
+                raise ShapeError(f"{where}: 'children' is not a list")
+            node = BBDFNode(_index_array(obj["rows"], (n_rows,), where),
+                            _index_array(obj["cols"], (n_cols,), where),
+                            path=path)
+            node.row_border = _index_array(obj["row_border"], (n_rows,), where)
+            node.col_border = _index_array(obj["col_border"], (n_cols,), where)
+            node.dropped = _index_array(obj["dropped"], (n_rows, n_cols), where)
             node.children = [decode(c, path + (i,))
                              for i, c in enumerate(obj["children"])]
+            if node.children and not (_splits(node, "rows", "row_border")
+                                      and _splits(node, "cols", "col_border")):
+                raise ShapeError(f"{where}: children and borders do not "
+                                 "split the node's rows and columns")
             return node
 
-        tree = cls(
-            decode(doc["root"], ()),
-            doc["mode"], doc["seed"], doc["target_density"],
-            n_rows=doc["n_rows"], n_cols=doc["n_cols"],
-            row_ids=doc.get("row_ids"), col_ids=doc.get("col_ids"),
-            rounds=doc.get("rounds"),
-        )
-        if sorted(tree.root.rows.tolist()) != list(range(tree.n_rows)) or \
-                sorted(tree.root.cols.tolist()) != list(range(tree.n_cols)):
+        root = decode(doc["root"], ())
+        if not (root.rows.size == n_rows and root.cols.size == n_cols
+                and np.array_equal(np.sort(root.rows), np.arange(n_rows))
+                and np.array_equal(np.sort(root.cols), np.arange(n_cols))):
             raise ShapeError("tree root must govern the full index ranges")
-        return tree
+        return cls(root, doc["mode"], doc["seed"], doc["target_density"],
+                   n_rows=n_rows, n_cols=n_cols, row_ids=doc.get("row_ids"),
+                   col_ids=doc.get("col_ids"), rounds=doc.get("rounds"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -175,12 +199,45 @@ class BBDFTree:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        doc = read_json(path, _TREE_KEYS)
         try:
-            return cls.from_json(text)
+            return cls._decode(doc)
         except ShapeError as exc:
             raise ShapeError(f"{path}: {exc}") from None
+
+
+_TREE_KEYS = ("root", "mode", "seed", "target_density", "n_rows", "n_cols")
+_NODE_KEYS = ("rows", "cols", "row_border", "col_border", "dropped",
+              "children")
+
+
+def _index_array(value, bounds, where):
+    """A JSON list of indices (one bound) or of ``(row, col)`` pairs (two
+    bounds) as an int64 array, every index ``k`` of a pair inside
+    ``[0, bounds[k])``; anything else raises :class:`ShapeError`."""
+    shape = (0,) if len(bounds) == 1 else (0, len(bounds))
+    if value == []:
+        return np.empty(shape, dtype=np.int64)
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iu" or \
+            arr.shape[1:] != shape[1:] or arr.ndim != len(shape):
+        raise ShapeError(f"{where}: {value!r:.60} is not a list of "
+                         f"{'indices' if len(bounds) == 1 else 'index pairs'}")
+    arr = arr.astype(np.int64)
+    if (arr < 0).any() or (arr >= np.asarray(bounds)).any():
+        raise ShapeError(f"{where}: index out of range")
+    return arr
+
+
+def _splits(node, own, border):
+    """Whether the children and the ``border`` of ``node`` hold every index
+    of its duplicate-free ``own`` set once and nothing else."""
+    cat = np.concatenate([getattr(ch, own) for ch in node.children]
+                         + [getattr(node, border)])
+    return np.array_equal(np.sort(cat), np.sort(getattr(node, own)))
 
 
 class AssembledBlock:
@@ -217,14 +274,11 @@ class AssembledBlock:
 
 def _view_graph(view):
     m = view.matrix
-    rmap = np.full(m.n_rows, -1, dtype=np.int64)
-    cmap = np.full(m.n_cols, -1, dtype=np.int64)
-    rmap[view.rows] = np.arange(view.rows.size)
-    cmap[view.cols] = np.arange(view.cols.size)
     eidx = view.entry_indices()
     g = BipartiteGraph.from_entries(
         view.rows.size, view.cols.size,
-        rmap[m.rows[eidx]], cmap[m.cols[eidx]])
+        _positions(view.rows, m.n_rows)[m.rows[eidx]],
+        _positions(view.cols, m.n_cols)[m.cols[eidx]])
     return g, eidx
 
 
@@ -252,6 +306,16 @@ def _child_tags(parts, n_rows, n_cols):
         rowtag[part.rows] = k
         coltag[part.cols] = k
     return rowtag, coltag
+
+
+def _cross_entries(parts, m, eidx):
+    """The entries ``eidx`` of ``m`` whose row and column lie in two
+    different ``parts``, as ``(row, col)`` pairs."""
+    rowtag, coltag = _child_tags(parts, m.n_rows, m.n_cols)
+    er, ec = m.rows[eidx], m.cols[eidx]
+    tr, tc = rowtag[er], coltag[ec]
+    cross = (tr >= 0) & (tc >= 0) & (tr != tc)
+    return np.stack([er[cross], ec[cross]], axis=1)
 
 
 def basic_bbdf_step(view, seed=0, balance_tol=0.2):
@@ -293,10 +357,8 @@ class _BlockState:
         self.cols = view.cols
         self.row_alive = np.ones(self.rows.size, dtype=bool)
         self.col_alive = np.ones(self.cols.size, dtype=bool)
-        self.rpos = np.full(m.n_rows, -1, dtype=np.int64)
-        self.cpos = np.full(m.n_cols, -1, dtype=np.int64)
-        self.rpos[self.rows] = np.arange(self.rows.size)
-        self.cpos[self.cols] = np.arange(self.cols.size)
+        self.rpos = _positions(self.rows, m.n_rows)
+        self.cpos = _positions(self.cols, m.n_cols)
         eidx = view.entry_indices()
         self.row_cnt = np.bincount(self.rpos[m.rows[eidx]],
                                    minlength=self.rows.size).astype(np.int64)
@@ -402,11 +464,37 @@ def improve_density(children, target):
     return [st.alive_view(m) for st in states], promoted
 
 
-# -- exact mode ----------------------------------------------------------------
+# -- exact and approximate mode --------------------------------------------------
 
 def _validate_target(target):
     if not (0.0 < target <= 1.0):
         raise ValueError(f"target density must be in (0, 1], got {target}")
+
+
+def _recursive_permute(m, mode, target_density, seed, split):
+    """The tree that splits every node of ``m`` below ``target_density``
+    by ``split(view, node_seed, rho)``, which returns ``(children,
+    row_border, col_border, dropped)``, or None to keep the node a leaf;
+    ``rho`` is the node's own density."""
+    _validate_target(target_density)
+
+    def build(view, path):
+        node = BBDFNode(view.rows, view.cols, path=path)
+        if view.area == 0:
+            return node
+        rho = view.nnz / view.area
+        if rho >= target_density:
+            return node
+        step = split(view, _derive_seed(seed, path), rho)
+        if step is None:
+            return node
+        children, node.row_border, node.col_border, node.dropped = step
+        node.children = [build(ch, path + (i,))
+                         for i, ch in enumerate(children)]
+        return node
+
+    return BBDFTree(build(m.full_view(), ()), mode, seed, target_density,
+                    matrix=m)
 
 
 def bbdf_permute(m, target_density, seed=0, balance_tol=0.2):
@@ -417,32 +505,19 @@ def bbdf_permute(m, target_density, seed=0, balance_tol=0.2):
     pooled child density above the node's own density; such nodes simply
     stay single sparse leaves.
     """
-    _validate_target(target_density)
 
-    def build(view, path):
-        node = BBDFNode(view.rows, view.cols, path=path)
-        if view.area == 0:
-            return node
-        rho_x = view.nnz / view.area
-        if rho_x >= target_density:
-            return node
+    def split(view, node_seed, rho):
         try:
-            children, (rb, cb), pooled = basic_bbdf_step(
-                view, _derive_seed(seed, path), balance_tol)
+            children, (rb, cb), pooled = basic_bbdf_step(view, node_seed,
+                                                         balance_tol)
         except NoSplitError:
-            return node
-        if not pooled > rho_x:
-            return node
-        node.row_border, node.col_border = rb, cb
-        node.children = [build(ch, path + (i,))
-                         for i, ch in enumerate(children)]
-        return node
+            return None
+        if not pooled > rho:
+            return None
+        return children, rb, cb, np.empty((0, 2), dtype=np.int64)
 
-    root = build(m.full_view(), ())
-    return BBDFTree(root, "bbdf", seed, target_density, matrix=m)
+    return _recursive_permute(m, "bbdf", target_density, seed, split)
 
-
-# -- approximate mode ----------------------------------------------------------
 
 def abbdf_permute(m, target_density, seed=0, balance_tol=0.2):
     """Approximate-mode reordering: edge cuts plus density promotion.
@@ -453,48 +528,27 @@ def abbdf_permute(m, target_density, seed=0, balance_tol=0.2):
     target. A node where promotion cannot make progress is kept as a
     sparse leaf.
     """
-    _validate_target(target_density)
 
-    def build(view, path):
-        node = BBDFNode(view.rows, view.cols, path=path)
-        if view.area == 0:
-            return node
-        rho_x = view.nnz / view.area
-        if rho_x >= target_density:
-            return node
+    def split(view, node_seed, rho):
         try:
             g, eidx = _view_graph(view)
-            epart = gpes_bisect(g, balance_tol, _derive_seed(seed, path))
+            epart = gpes_bisect(g, balance_tol, node_seed)
         except TooSmallError:
-            return node
-        raw_children = []
-        for p in epart.parts:
-            r, c = _split_nodes(view, p)
-            raw_children.append(SubmatrixView(m, r, c))
-        raw_children = _order_views(raw_children)
+            return None
+        raw_children = _order_views([SubmatrixView(m, *_split_nodes(view, p))
+                                     for p in epart.parts])
         try:
             shrunk, promoted = improve_density(raw_children, target_density)
         except DegenerateBlockError:
-            return node
-
+            return None
         rb = np.array(sorted(g for _, ax, g in promoted if ax == "row"),
                       dtype=np.int64)
         cb = np.array(sorted(g for _, ax, g in promoted if ax == "col"),
                       dtype=np.int64)
-
         # entries now straddling two blocks (neither endpoint promoted)
-        rowtag, coltag = _child_tags(shrunk, m.n_rows, m.n_cols)
-        er, ec = m.rows[eidx], m.cols[eidx]
-        tr, tc = rowtag[er], coltag[ec]
-        cross = (tr >= 0) & (tc >= 0) & (tr != tc)
-        node.dropped = np.stack([er[cross], ec[cross]], axis=1)
-        node.row_border, node.col_border = rb, cb
-        node.children = [build(ch, path + (i,))
-                         for i, ch in enumerate(shrunk)]
-        return node
+        return shrunk, rb, cb, _cross_entries(shrunk, m, eidx)
 
-    root = build(m.full_view(), ())
-    return BBDFTree(root, "abbdf", seed, target_density, matrix=m)
+    return _recursive_permute(m, "abbdf", target_density, seed, split)
 
 
 # -- balanced mode ---------------------------------------------------------------
@@ -666,13 +720,10 @@ def assemble_blocks(tree, m=None):
         if dkeys is not None and eidx.size:
             keys = m.rows[eidx] * m.n_cols + m.cols[eidx]
             eidx = eidx[~np.isin(keys, dkeys)]
-        rpos = np.full(m.n_rows, -1, dtype=np.int64)
-        cpos = np.full(m.n_cols, -1, dtype=np.int64)
-        rpos[rows] = np.arange(rows.size)
-        cpos[cols] = np.arange(cols.size)
         local = RatingMatrix(
             rows.size, cols.size,
-            rpos[m.rows[eidx]], cpos[m.cols[eidx]], m.vals[eidx],
+            _positions(rows, m.n_rows)[m.rows[eidx]],
+            _positions(cols, m.n_cols)[m.cols[eidx]], m.vals[eidx],
             row_labels=[m.row_labels[i] for i in rows],
             col_labels=[m.col_labels[j] for j in cols],
         )
@@ -751,10 +802,7 @@ def community_tree(m, communities):
     for i, ch in enumerate(children):
         root.children.append(BBDFNode(ch.rows, ch.cols, path=(i,)))
 
-    rowtag, coltag = _child_tags(root.children, m.n_rows, m.n_cols)
-    tr, tc = rowtag[m.rows], coltag[m.cols]
-    cross = (tr >= 0) & (tc >= 0) & (tr != tc)
-    root.dropped = np.stack([m.rows[cross], m.cols[cross]], axis=1)
+    root.dropped = _cross_entries(root.children, m, slice(None))
 
     return BBDFTree(root, "abbdf", 0, 1.0, matrix=m)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bbdf import BBDFNode, BBDFTree, _permute, assemble_blocks
 from .errors import LMFError, RatingFormatError, ShapeError
-from .evaluate import EvalReport, format_report, kfold_split, rmse_arrays, \
+from .evaluate import EvalReport, format_report, kfold_split, rmse, \
     run_benchmark
 from .factorize import FactorizerSpec
 from .matrix import load_ratings
@@ -169,7 +169,7 @@ def cmd_eval(args):
         items.append(item)
         truth.append(x)
     pred, covered = model.predict_labels(users, items)
-    score = rmse_arrays(truth, pred)
+    score = rmse(truth, pred)
     report = EvalReport(
         rmse=score, fold_rmse=[score],
         fallback_fraction=float((~covered).mean()),

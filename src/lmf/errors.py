@@ -5,6 +5,8 @@ documented process exit codes: 2 for input/format problems, 3 for numeric
 divergence, 4 for degenerate inputs that make an operation undefined.
 """
 
+import json
+
 
 class LMFError(Exception):
     exit_code = 1
@@ -68,6 +70,20 @@ def require_keys(doc, keys, where):
     missing = [k for k in keys if k not in doc]
     if missing:
         raise ShapeError(f"{where} lacks keys {missing}")
+
+
+def read_json(path, keys):
+    """The JSON object in the file at ``path``, checked by
+    :func:`require_keys`; a file that is not JSON, a truncated one
+    included, raises :class:`ShapeError` naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:
+        raise ShapeError(f"{path} is not valid JSON: {exc}") from None
+    require_keys(doc, keys, str(path))
+    return doc
 
 
 class SpecError(LMFError):

@@ -35,13 +35,8 @@ from .matrix import RatingMatrix, load_ratings
 from .model import fallback_biases, lmf_fit
 
 
-def rmse(pairs):
-    """Root mean squared error over (truth, predicted) pairs."""
-    arr = np.asarray(list(pairs), dtype=np.float64).reshape(-1, 2)
-    return rmse_arrays(arr[:, 0], arr[:, 1])
-
-
-def rmse_arrays(truth, pred):
+def rmse(truth, pred):
+    """Root mean squared error of ``pred`` against ``truth``."""
     truth = np.asarray(truth, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if truth.size == 0:
@@ -243,7 +238,7 @@ def run_benchmark(config):
             times["predict"].append(time.perf_counter() - t0)
             fallback_n += int((unseen | ~covered).sum())
             lmf_pred_all.append(pred)
-            fold_rmse_lmf.append(rmse_arrays(X, pred))
+            fold_rmse_lmf.append(rmse(X, pred))
 
         if run_base:
             t0 = time.perf_counter()
@@ -260,7 +255,7 @@ def run_benchmark(config):
             if not run_lmf:
                 fallback_n += int(unseen.sum())
             base_pred_all.append(pred)
-            fold_rmse_base.append(rmse_arrays(X, pred))
+            fold_rmse_base.append(rmse(X, pred))
 
         if config.get("dump_predictions"):
             main_pred = lmf_pred_all[-1] if run_lmf else base_pred_all[-1]
@@ -272,11 +267,11 @@ def run_benchmark(config):
     n_test = truth.size
     extra = {}
     if run_lmf:
-        pooled_lmf = rmse_arrays(truth, np.concatenate(lmf_pred_all))
+        pooled_lmf = rmse(truth, np.concatenate(lmf_pred_all))
         extra["lmf_rmse"] = pooled_lmf
         extra["lmf_fold_rmse"] = fold_rmse_lmf
     if run_base:
-        pooled_base = rmse_arrays(truth, np.concatenate(base_pred_all))
+        pooled_base = rmse(truth, np.concatenate(base_pred_all))
         extra["baseline_rmse"] = pooled_base
         extra["baseline_fold_rmse"] = fold_rmse_base
     if mode == "both":

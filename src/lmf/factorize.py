@@ -38,7 +38,7 @@ from .errors import (
     EmptyInputError,
     ShapeError,
     SpecError,
-    require_keys,
+    read_json,
 )
 
 ALGORITHMS = ("svd_als", "nmf", "pmf_sgd", "mmmf_fast")
@@ -431,17 +431,6 @@ def factorize(m, spec, init=None, sample_order=None, iterate_hook=None):
                       final_objective=history[-1], history=history)
 
 
-def predict_entry(pair, i, j, clamp=None):
-    """Prediction for one cell: the factor dot product (identity link),
-    optionally clamped to a (low, high) rating scale for evaluation."""
-    if not (0 <= i < pair.U.shape[0] and 0 <= j < pair.V.shape[0]):
-        raise ShapeError(f"index ({i}, {j}) out of range")
-    p = float(pair.U[i] @ pair.V[j])
-    if clamp is not None:
-        p = min(max(p, clamp[0]), clamp[1])
-    return p
-
-
 def objective_value(m, pair, spec):
     """The training objective at the given factors (loss over observed
     entries plus the algorithm's regularizer)."""
@@ -501,10 +490,7 @@ def load_factors(path):
     U = body[:n_u].reshape(n_rows, r)
     V = body[n_u:n_u + n_v].reshape(n_cols, r)
     th = body[n_u + n_v:].reshape(n_rows, n_th) if n_th else None
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    require_keys(sidecar, ("spec", "final_objective", "history"),
-                 f"{path}.json")
+    sidecar = read_json(f"{path}.json", ("spec", "final_objective", "history"))
     spec = spec_from_dict(sidecar["spec"])
     if spec.algorithm != ALGORITHMS[algo]:
         raise ShapeError(f"{path}: algorithm tag mismatch")

@@ -309,6 +309,14 @@ def apply_permutation(m, p):
     )
 
 
+def _positions(index, n):
+    """The position of each of ``0..n-1`` in ``index``, or -1 where it is
+    absent."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[index] = np.arange(len(index))
+    return pos
+
+
 # -- bipartite conversion ---------------------------------------------------
 
 def to_bipartite(m):
@@ -324,7 +332,7 @@ def to_bipartite(m):
 
 # -- loading ----------------------------------------------------------------
 
-def load_ratings(path, dialect="whitespace"):
+def load_ratings(path):
     """Parse a rating log into a densely re-indexed :class:`RatingMatrix`.
 
     Each record line holds ``user_id item_id rating [timestamp]`` separated
@@ -332,9 +340,6 @@ def load_ratings(path, dialect="whitespace"):
     lines starting with ``#`` are comments. Opaque ids are mapped to dense
     indices in first-appearance order and kept as labels.
     """
-    if dialect != "whitespace":
-        raise ValueError(f"unknown rating-log dialect {dialect!r}")
-
     row_ids: dict[str, int] = {}
     col_ids: dict[str, int] = {}
     rows, cols, vals = [], [], []

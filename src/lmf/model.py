@@ -16,6 +16,7 @@ import contextlib
 import ctypes
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -24,7 +25,7 @@ from numbers import Real
 import numpy as np
 
 from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
-from .errors import LMFError, MissingLabelsError, ShapeError, require_keys
+from .errors import LMFError, MissingLabelsError, ShapeError, read_json
 from .factorize import (
     FactorPair,
     _chunk_rows,
@@ -37,8 +38,13 @@ from .factorize import (
     spec_to_dict,
     with_seed,
 )
+from .matrix import _positions
 
 _BIAS_DAMPING = 25.0
+
+
+def _finite(value):
+    return _is_number(value, Real) and abs(value) <= sys.float_info.max
 
 
 def fallback_biases(m, damping=_BIAS_DAMPING):
@@ -75,16 +81,8 @@ class LMFModel:
             raise ValueError("uncovered must be 'bias' or 'cross'")
         self.uncovered = uncovered
 
-        n_rows, n_cols = tree.n_rows, tree.n_cols
-        self._rpos = []
-        self._cpos = []
-        for rows, cols in zip(block_rows, block_cols):
-            rp = np.full(n_rows, -1, dtype=np.int64)
-            cp = np.full(n_cols, -1, dtype=np.int64)
-            rp[rows] = np.arange(rows.size)
-            cp[cols] = np.arange(cols.size)
-            self._rpos.append(rp)
-            self._cpos.append(cp)
+        self._rpos = [_positions(rows, tree.n_rows) for rows in block_rows]
+        self._cpos = [_positions(cols, tree.n_cols) for cols in block_cols]
 
     @property
     def n_blocks(self):
@@ -216,15 +214,18 @@ class LMFModel:
     def load(cls, directory):
         tree = BBDFTree.load(os.path.join(directory, "tree.json"))
         path = os.path.join(directory, "manifest.json")
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        require_keys(manifest, ("spec", "n_blocks", "mu", "value_range"), path)
+        manifest = read_json(path, ("spec", "n_blocks", "mu", "value_range"))
         mu, value_range = manifest["mu"], manifest["value_range"]
-        if not (_is_number(mu, Real) and isinstance(value_range, list)
-                and len(value_range) == 2
-                and all(_is_number(v, Real) for v in value_range)):
-            raise ShapeError(f"{path}: 'mu' must be a number and 'value_range' "
-                             f"two numbers, found {mu!r} and {value_range!r}")
+        if not (_finite(mu) and isinstance(value_range, list)
+                and len(value_range) == 2 and all(map(_finite, value_range))
+                and value_range[0] <= value_range[1]):
+            raise ShapeError(f"{path}: 'mu' must be a finite number and "
+                             "'value_range' two finite numbers, low first; "
+                             f"found {mu!r} and {value_range!r}")
+        uncovered = manifest.get("uncovered", "bias")
+        if uncovered not in ("bias", "cross"):
+            raise ShapeError(f"{path}: 'uncovered' is {uncovered!r}, not "
+                             "'bias' or 'cross'")
         spec = spec_from_dict(manifest["spec"])
         leaves = list(assembled_indices(tree))
         if manifest["n_blocks"] != len(leaves):
@@ -258,7 +259,7 @@ class LMFModel:
         return cls(tree, [rows for _, rows, _ in leaves],
                    [cols for _, _, cols in leaves], pairs, mu,
                    b_user, b_item, spec, tuple(value_range),
-                   uncovered=manifest.get("uncovered", "bias"))
+                   uncovered=uncovered)
 
 
 def _tag_block_error(exc, block_id):
@@ -364,11 +365,6 @@ def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
                  "block_fit": block_times},
         uncovered=uncovered)
     return model
-
-
-def lmf_predict(model, i, j):
-    """Module-level alias of :meth:`LMFModel.predict`."""
-    return model.predict(i, j)
 
 
 def coverage_count(model, i, j):

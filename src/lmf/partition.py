@@ -93,9 +93,6 @@ class BipartiteGraph:
     def neighbors(self, v):
         return self.adjncy[self.xadj[v]:self.xadj[v + 1]]
 
-    def is_r_node(self, v):
-        return v < self.n_r
-
 
 @dataclass
 class EdgePartition:

@@ -524,7 +524,7 @@ def test_tree_json_rejects_partial_root():
 
 
 def test_factorize_accepts_assembled_block():
-    from lmf import FactorizerSpec, factorize, predict_entry
+    from lmf import FactorizerSpec, factorize
 
     rng = np.random.default_rng(41)
     m = planted_blocks(rng, [(8, 9), (7, 8)], 0.5, bridge_rows=1)
@@ -533,7 +533,7 @@ def test_factorize_accepts_assembled_block():
     pair = factorize(block, FactorizerSpec(algorithm="svd_als", r=2,
                                            reg=0.01, max_iters=20, seed=0))
     assert pair.U.shape == (block.rows.size, 2)
-    assert np.isfinite(predict_entry(pair, 0, 0))
+    assert np.isfinite(float(pair.U[0] @ pair.V[0]))
 
 
 def test_balanced_tree_persists_round_log(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from lmf import RatingMatrix, fchr, kfold_split, rmse, run_benchmark
 from lmf.cli import main as cli_main
 from lmf.errors import DegenerateInputError, UndefinedMetricError
-from lmf.evaluate import rmse_arrays
 
 from conftest import planted_blocks
 
@@ -15,20 +14,18 @@ from conftest import planted_blocks
 # -- metrics -----------------------------------------------------------------------
 
 def test_rmse_exact_predictions():
-    assert rmse([(4.0, 4.0), (2.0, 2.0)]) == 0.0
+    assert rmse([4.0, 2.0], [4.0, 2.0]) == 0.0
 
 
 def test_rmse_direct_formula():
     # sqrt(((4-3)^2 + (4-4)^2) / 2)
-    assert rmse([(4, 3), (4, 4)]) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert rmse([(1, 5)]) == 4.0
+    assert rmse([4, 4], [3, 4]) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert rmse([1], [5]) == 4.0
 
 
 def test_rmse_empty():
     with pytest.raises(DegenerateInputError):
-        rmse([])
-    with pytest.raises(DegenerateInputError):
-        rmse_arrays([], [])
+        rmse([], [])
 
 
 def test_fchr_values():
@@ -139,7 +136,7 @@ def test_benchmark_pooled_rmse_equals_oracle_rescoring(tmp_path):
             _, _, x, p = line.split("\t")
             truth.append(float(x))
             pred.append(float(p))
-    assert report.rmse == pytest.approx(rmse_arrays(truth, pred), abs=1e-9)
+    assert report.rmse == pytest.approx(rmse(truth, pred), abs=1e-9)
 
 
 def test_benchmark_baseline_only_and_lmf_only_agree_with_both():
@@ -463,7 +460,7 @@ def test_predict_labels_and_cli_fall_back_on_unknown_labels(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     # three lines with an unknown label plus the uncovered cell (0, 2)
     assert doc["fallback_fraction"] == pytest.approx(4 / 5)
-    assert doc["rmse"] == pytest.approx(rmse_arrays(np.full(5, 3.0), pred))
+    assert doc["rmse"] == pytest.approx(rmse(np.full(5, 3.0), pred))
 
 
 def test_cli_fit_rejects_mismatched_tree(tmp_path):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmf import (
+    BBDFNode,
+    BBDFTree,
     FactorPair,
     FactorizerSpec,
+    LMFModel,
     RatingMatrix,
     factorize,
     load_factors,
     objective_value,
-    predict_entry,
     save_factors,
 )
 from lmf.errors import DivergenceError, DomainError, EmptyInputError, ShapeError
@@ -58,7 +60,7 @@ def test_single_cell_exactly_representable(algo):
     spec = FactorizerSpec(algorithm=algo, r=1, reg=0.0, max_iters=300,
                           convergence_tol=1e-14, seed=1)
     pair = factorize(m, spec)
-    assert predict_entry(pair, 0, 0) == pytest.approx(4.0, abs=1e-6)
+    assert float(pair.U[0] @ pair.V[0]) == pytest.approx(4.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("algo", ["svd_als", "nmf"])
@@ -183,21 +185,32 @@ def test_spec_validation():
 
 # -- prediction ---------------------------------------------------------------------
 
-def test_predict_entry_cases():
-    from lmf.factorize import FactorPair
+def _one_block_model(pair, value_range):
+    """An :class:`LMFModel` whose one block covers every cell of ``pair``."""
+    n_rows, n_cols = pair.U.shape[0], pair.V.shape[0]
+    rows, cols = np.arange(n_rows), np.arange(n_cols)
+    tree = BBDFTree(BBDFNode(rows, cols), "bbdf", 0, 1.0,
+                    n_rows=n_rows, n_cols=n_cols)
+    return LMFModel(tree, [rows], [cols], [pair], 0.0, np.zeros(n_rows),
+                    np.zeros(n_cols), FactorizerSpec(algorithm="svd_als",
+                                                     r=pair.r), value_range)
 
+
+def test_predict_many_one_block_cases():
     U = np.array([[2.0], [0.0]])
     V = np.array([[3.0], [1.0]])
-    pair = FactorPair(U, V)
-    assert predict_entry(pair, 0, 0) == 6.0
-    assert predict_entry(pair, 1, 0) == 0.0
-    # clamping applies only when a scale is passed (evaluation time)
+    model = _one_block_model(FactorPair(U, V), (-np.inf, np.inf))
+    pred, covered = model.predict_many([0, 1], [0, 0])
+    assert pred.tolist() == [6.0, 0.0] and covered.all()
+    # the rating scale clamps every prediction
     U2 = np.array([[5.7]])
     pair2 = FactorPair(U2, np.array([[1.0]]))
-    assert predict_entry(pair2, 0, 0) == 5.7
-    assert predict_entry(pair2, 0, 0, clamp=(1.0, 5.0)) == 5.0
+    assert _one_block_model(pair2, (-np.inf, np.inf)).predict_many(
+        [0], [0])[0][0] == 5.7
+    assert _one_block_model(pair2, (1.0, 5.0)).predict_many(
+        [0], [0])[0][0] == 5.0
     with pytest.raises(ShapeError):
-        predict_entry(pair, 2, 0)
+        model.predict_many([2], [0])
 
 
 # -- objective ---------------------------------------------------------------------

@@ -19,8 +19,6 @@ from lmf import (
     coverage_count,
     factorize,
     lmf_fit,
-    lmf_predict,
-    predict_entry,
     save_factors,
 )
 from lmf.errors import DomainError, MissingLabelsError, ShapeError
@@ -73,7 +71,7 @@ def test_single_leaf_model_equals_plain_factorizer():
     lo, hi = m.value_range()
     for i in range(m.n_rows):
         for j in range(m.n_cols):
-            expect = min(max(predict_entry(pair, i, j), lo), hi)
+            expect = min(max(float(pair.U[i] @ pair.V[j]), lo), hi)
             assert model.predict(i, j) == pytest.approx(expect, abs=1e-12)
 
 
@@ -103,7 +101,7 @@ def test_border_cell_prediction_is_mean_of_covering_blocks():
             preds.append(float(pair.U[ri[4]] @ pair.V[ci[4]]))
     assert len(preds) == 2
     expect = min(max(sum(preds) / 2, lo), hi)
-    assert lmf_predict(model, 4, 4) == pytest.approx(expect, abs=1e-12)
+    assert model.predict(4, 4) == pytest.approx(expect, abs=1e-12)
 
 
 def test_uncovered_cell_uses_bias_fallback_only():
@@ -510,3 +508,23 @@ def test_fit_rejects_mismatched_matrix():
     other = planted_blocks(rng, [(7, 6)], 0.5)
     with pytest.raises(ShapeError):
         lmf_fit(single_leaf_tree(m), other, SPEC)
+
+
+def test_public_surface():
+    import lmf
+
+    # a name added to or removed from the package shows up here as a diff
+    assert sorted(lmf.__all__) == [
+        "AssembledBlock", "BBDFNode", "BBDFTree", "BipartiteGraph",
+        "EdgePartition", "EvalReport", "FactorPair", "FactorizerSpec",
+        "FoldPlan", "IndexPermutation", "LMFError", "LMFModel",
+        "RatingMatrix", "SubmatrixView", "VertexPartition", "abbdf_permute",
+        "apply_permutation", "assemble_blocks", "avg_density",
+        "balanced_permute", "basic_bbdf_step", "bbdf_permute", "check_tree",
+        "community_tree", "coverage_count", "density", "factorize", "fchr",
+        "gpes_bisect", "gpvs_bisect", "improve_density", "kfold_split",
+        "lmf_fit", "load_factors", "load_ratings", "objective_value",
+        "permutation_from_tree", "restricted_density", "rmse",
+        "run_benchmark", "save_factors", "to_bipartite",
+    ]
+    assert all(getattr(lmf, name, None) is not None for name in lmf.__all__)

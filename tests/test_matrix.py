@@ -88,13 +88,6 @@ def test_load_mixed_separators_timestamp_and_order(tmp_path):
     assert m.nnz == 3
 
 
-def test_load_unknown_dialect(tmp_path):
-    p = tmp_path / "r.tsv"
-    p.write_text("a b 5\n")
-    with pytest.raises(ValueError):
-        load_ratings(p, dialect="csv")
-
-
 # -- density calculus -----------------------------------------------------------
 
 def _figure_density_matrix():
