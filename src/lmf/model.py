@@ -269,9 +269,11 @@ def _tag_block_error(exc, block_id):
     return exc
 
 
-# numpy's bundled OpenBLAS exports the 64-bit-integer name; a system
-# OpenBLAS exports one of the others
+# numpy's bundled OpenBLAS exports the 64-bit-integer name, scipy's (which
+# runs the LAPACK solves) the 32-bit one; a system OpenBLAS exports one of
+# the others
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_",
                         "openblas_set_num_threads")
 

@@ -288,6 +288,7 @@ def _openblas_threads():
     for path in paths:
         lib = ctypes.CDLL(path)
         for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads64_", "openblas_get_num_threads"):
             getter = getattr(lib, name, None)
             if getter is not None:
