@@ -23,6 +23,7 @@ import json
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateBlockError,
     NoSplitError,
     ShapeError,
@@ -149,9 +150,10 @@ class BBDFTree:
     @classmethod
     def _decode(cls, doc):
         """The tree a parsed ``tree.json`` describes; raises
-        :class:`ShapeError` unless every index lies in range, the root
-        holds every row and column, and at each inner node the children
-        and the borders split the node's rows and columns."""
+        :class:`ShapeError` unless every index lies in range, the labels
+        of each axis are distinct scalars, the root holds every row and
+        column, and at each inner node the children and the borders split
+        the node's rows and columns."""
         n_rows, n_cols = doc["n_rows"], doc["n_cols"]
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
                    for n in (n_rows, n_cols)):
@@ -160,8 +162,9 @@ class BBDFTree:
         for key, n in (("row_ids", n_rows), ("col_ids", n_cols)):
             ids = doc.get(key)
             if ids is not None and not (isinstance(ids, list)
-                                        and len(ids) == n):
-                raise ShapeError(f"tree '{key}' must list {n} labels")
+                                        and len(ids) == n and _distinct(ids)):
+                raise ShapeError(f"tree '{key}' must list {n} distinct "
+                                 "scalar labels")
         if not isinstance(doc.get("rounds", []), list):
             raise ShapeError("tree 'rounds' must be a list")
 
@@ -230,6 +233,15 @@ def _index_array(value, bounds, where):
     if (arr < 0).any() or (arr >= np.asarray(bounds)).any():
         raise ShapeError(f"{where}: index out of range")
     return arr
+
+
+def _distinct(labels):
+    """Whether ``labels`` are hashable and pairwise unequal, so that a dict
+    maps each one back to its position."""
+    try:
+        return len(set(labels)) == len(labels)
+    except TypeError:  # a list or an object as a label
+        return False
 
 
 def _splits(node, own, border):
@@ -318,7 +330,7 @@ def _cross_entries(parts, m, eidx):
     return np.stack([er[cross], ec[cross]], axis=1)
 
 
-def basic_bbdf_step(view, seed=0, balance_tol=0.2):
+def basic_bbdf_step(view, seed=0):
     """One vertex-separator step: the separator's R-nodes become the row
     border and its C-nodes the column border; each part becomes a child.
 
@@ -327,7 +339,7 @@ def basic_bbdf_step(view, seed=0, balance_tol=0.2):
     """
     try:
         g, _ = _view_graph(view)
-        part = gpvs_bisect(g, balance_tol, seed)
+        part = gpvs_bisect(g, seed=seed)
     except TooSmallError as exc:
         raise NoSplitError(str(exc)) from exc
     row_border, col_border = _split_nodes(view, part.separator)
@@ -468,7 +480,7 @@ def improve_density(children, target):
 
 def _validate_target(target):
     if not (0.0 < target <= 1.0):
-        raise ValueError(f"target density must be in (0, 1], got {target}")
+        raise ConfigError(f"target density must be in (0, 1], got {target}")
 
 
 def _recursive_permute(m, mode, target_density, seed, split):
@@ -497,7 +509,7 @@ def _recursive_permute(m, mode, target_density, seed, split):
                     matrix=m)
 
 
-def bbdf_permute(m, target_density, seed=0, balance_tol=0.2):
+def bbdf_permute(m, target_density, seed=0):
     """Exact-mode recursive reordering (no entry is ever dropped).
 
     Recursion at a node stops when its density reaches the target, when
@@ -508,8 +520,7 @@ def bbdf_permute(m, target_density, seed=0, balance_tol=0.2):
 
     def split(view, node_seed, rho):
         try:
-            children, (rb, cb), pooled = basic_bbdf_step(view, node_seed,
-                                                         balance_tol)
+            children, (rb, cb), pooled = basic_bbdf_step(view, node_seed)
         except NoSplitError:
             return None
         if not pooled > rho:
@@ -519,7 +530,7 @@ def bbdf_permute(m, target_density, seed=0, balance_tol=0.2):
     return _recursive_permute(m, "bbdf", target_density, seed, split)
 
 
-def abbdf_permute(m, target_density, seed=0, balance_tol=0.2):
+def abbdf_permute(m, target_density, seed=0):
     """Approximate-mode reordering: edge cuts plus density promotion.
 
     Each recursion bisects by edge separator, records the cut entries that
@@ -532,7 +543,7 @@ def abbdf_permute(m, target_density, seed=0, balance_tol=0.2):
     def split(view, node_seed, rho):
         try:
             g, eidx = _view_graph(view)
-            epart = gpes_bisect(g, balance_tol, node_seed)
+            epart = gpes_bisect(g, seed=node_seed)
         except TooSmallError:
             return None
         raw_children = _order_views([SubmatrixView(m, *_split_nodes(view, p))
@@ -573,8 +584,7 @@ class _LeafState:
         return self.asm_nr * self.asm_nc
 
 
-def balanced_permute(m, target_density, seed=0, balance_tol=0.2,
-                     on_round=None):
+def balanced_permute(m, target_density, seed=0, on_round=None):
     """Size-balanced reordering gated on assembled-block density.
 
     Each round sorts the leaf blocks by area (largest first) and accepts
@@ -601,7 +611,7 @@ def balanced_permute(m, target_density, seed=0, balance_tol=0.2,
         view = SubmatrixView(m, node.rows, node.cols)
         try:
             children, (rb, cb), _ = basic_bbdf_step(
-                view, _derive_seed(seed, node.path), balance_tol)
+                view, _derive_seed(seed, node.path))
         except NoSplitError:
             st.trial = None
             return None
@@ -666,19 +676,17 @@ def balanced_permute(m, target_density, seed=0, balance_tol=0.2,
     return tree, rounds
 
 
-def _permute(m, mode, target_density, seed=0, balance_tol=0.2):
-    """The tree of the ``balanced``, ``bbdf`` or ``abbdf`` reordering of
-    ``m``; only a balanced tree carries ``rounds``."""
-    if mode == "balanced":
-        return balanced_permute(m, target_density, seed=seed,
-                                balance_tol=balance_tol)[0]
-    if mode == "bbdf":
-        return bbdf_permute(m, target_density, seed=seed,
-                            balance_tol=balance_tol)
-    if mode == "abbdf":
-        return abbdf_permute(m, target_density, seed=seed,
-                             balance_tol=balance_tol)
-    raise ValueError(f"unknown permute mode {mode!r}")
+# reordering mode -> its ``(m, target_density, seed) -> tree``; the first is
+# the default, and only a balanced tree carries ``rounds``
+PERMUTE_MODES = {"balanced": lambda *args: balanced_permute(*args)[0],
+                 "bbdf": bbdf_permute, "abbdf": abbdf_permute}
+
+
+def _permute(m, mode, target_density, seed=0):
+    if mode not in PERMUTE_MODES:
+        raise ConfigError(f"unknown permute mode {mode!r}, not one of "
+                          f"{tuple(PERMUTE_MODES)}")
+    return PERMUTE_MODES[mode](m, target_density, seed)
 
 
 # -- stitching -------------------------------------------------------------------
@@ -769,11 +777,11 @@ def community_tree(m, communities):
     n = m.n_rows + m.n_cols
     for i, c in enumerate(communities):
         if not c:
-            raise ValueError(f"community {i} is empty")
+            raise ConfigError(f"community {i} is empty")
         others = set().union(*(communities[j] for j in range(len(communities))
                                if j != i)) if len(communities) > 1 else set()
         if not (c - others):
-            raise ValueError(f"community {i} has no exclusive node")
+            raise ConfigError(f"community {i} has no exclusive node")
         if any(v < 0 or v >= n for v in c):
             raise ShapeError("community node id out of range")
 

@@ -3,7 +3,8 @@ splitting, reordering, analyzing, fitting, predicting, scoring and
 running the full benchmark protocol.
 
 Exit codes: 0 success, 2 input/format error, 3 numeric divergence,
-4 degenerate input.
+4 degenerate input; any exception other than an LMFError or OSError is a
+defect and shows its traceback.
 """
 
 from __future__ import annotations
@@ -16,16 +17,26 @@ import sys
 
 import numpy as np
 
-from .bbdf import BBDFNode, BBDFTree, _permute, assemble_blocks
-from .errors import LMFError, RatingFormatError, ShapeError
+from .bbdf import PERMUTE_MODES, BBDFNode, BBDFTree, _permute, \
+    assemble_blocks
+from .errors import LMFError, RatingFormatError, ShapeError, read_json
 from .evaluate import EvalReport, format_report, kfold_split, rmse, \
     run_benchmark
 from .factorize import FactorizerSpec
-from .matrix import load_ratings
-from .model import LMFModel, lmf_fit
+from .matrix import _records, load_ratings
+from .model import UNCOVERED, LMFModel, lmf_fit
 
 _ALGO_NAMES = {"svd": "svd_als", "nmf": "nmf", "pmf": "pmf_sgd",
                "mmmf": "mmmf_fast"}
+
+# ``lmf fit`` flag, FactorizerSpec field, type; a flag not given leaves its
+# field at the FactorizerSpec default
+_SPEC_FLAGS = (
+    ("--factors", "r", int), ("--reg", "reg", float),
+    ("--reg-user", "reg_user", float), ("--reg-item", "reg_item", float),
+    ("--margin-c", "margin_c", float),
+    ("--learning-rate", "learning_rate", float),
+    ("--iters", "max_iters", int), ("--tol", "convergence_tol", float))
 
 
 def _default_threads():
@@ -61,8 +72,7 @@ def cmd_split(args):
 
 def cmd_permute(args):
     m = load_ratings(args.input)
-    tree = _permute(m, args.mode, args.target_density, seed=args.seed,
-                    balance_tol=args.balance_tol)
+    tree = _permute(m, args.mode, args.target_density, seed=args.seed)
     tree.save(args.out)
     print(f"{args.mode}: {len(tree.leaves())} blocks -> {args.out}")
     return 0
@@ -106,34 +116,16 @@ def cmd_fit(args):
     else:
         root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols))
         tree = BBDFTree(root, "bbdf", args.seed, 1.0, matrix=m)
-    spec = FactorizerSpec(
-        algorithm=_ALGO_NAMES[args.algo], r=args.factors, reg=args.reg,
-        reg_user=args.reg_user, reg_item=args.reg_item,
-        margin_c=args.margin_c, learning_rate=args.learning_rate,
-        max_iters=args.iters, convergence_tol=args.tol, seed=args.seed,
-    ).validate()
+    given = {name: getattr(args, name) for _, name, _ in _SPEC_FLAGS
+             if getattr(args, name) is not None}
+    spec = FactorizerSpec(algorithm=_ALGO_NAMES[args.algo], seed=args.seed,
+                          **given).validate()
     model = lmf_fit(tree, m, spec, threads=args.threads,
                     uncovered=args.uncovered)
     model.save(args.out)
     t = model.timings
     print(f"fitted {model.n_blocks} block(s) in {t['fit_wall']:.2f}s -> {args.out}")
     return 0
-
-
-def _records(path, min_fields):
-    """``(lineno, fields)`` per record line of a whitespace-separated file,
-    skipping blank lines and ``#`` comments; a record with fewer than
-    ``min_fields`` fields raises :class:`RatingFormatError`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) < min_fields:
-                raise RatingFormatError(
-                    path, lineno,
-                    f"expected at least {min_fields} fields, got {len(fields)}")
-            yield lineno, fields
 
 
 def cmd_predict(args):
@@ -181,9 +173,7 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    report = run_benchmark(config)
+    report = run_benchmark(read_json(args.config, ()))
     print(format_report(report), file=sys.stderr)
     print(report.to_json(indent=2))
     return 0
@@ -202,10 +192,9 @@ def build_parser():
 
     p = sub.add_parser("permute", help="reorder a matrix into bordered blocks")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=("bbdf", "abbdf", "balanced"),
-                   default="balanced")
+    p.add_argument("--mode", choices=tuple(PERMUTE_MODES),
+                   default=next(iter(PERMUTE_MODES)))
     p.add_argument("--target-density", type=float, required=True)
-    p.add_argument("--balance-tol", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_permute)
@@ -219,17 +208,11 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--tree")
     p.add_argument("--algo", choices=sorted(_ALGO_NAMES), required=True)
-    p.add_argument("--factors", type=int, default=60)
-    p.add_argument("--reg", type=float, default=0.065)
-    p.add_argument("--reg-user", type=float, default=0.002)
-    p.add_argument("--reg-item", type=float, default=0.002)
-    p.add_argument("--margin-c", type=float, default=1.5)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-5)
+    for flag, name, kind in _SPEC_FLAGS:
+        p.add_argument(flag, dest=name, type=kind)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--uncovered", choices=("bias", "cross"), default="bias")
+    p.add_argument("--uncovered", choices=UNCOVERED, default=UNCOVERED[0])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -259,7 +242,7 @@ def main(argv=None):
     except LMFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

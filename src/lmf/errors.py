@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit: what counts as bad input.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 documented process exit codes: 2 for input/format problems, 3 for numeric
@@ -86,12 +86,17 @@ def read_json(path, keys):
     return doc
 
 
-class SpecError(LMFError):
-    """A factorizer spec (from a model file or a benchmark config) with
-    keys it does not know, without a key it needs, or with a field of the
-    wrong type."""
+class ConfigError(LMFError, ValueError):
+    """An argument or setting outside its domain (an unknown mode name, a
+    target density outside (0, 1], a negative random seed)."""
 
     exit_code = 2
+
+
+class SpecError(ConfigError):
+    """A factorizer spec (from a model file or a benchmark config) with
+    keys it does not know, without a key it needs, with a field of the
+    wrong type, or with a value out of range."""
 
 
 class MissingLabelsError(LMFError):

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bbdf import _permute
+from .bbdf import PERMUTE_MODES, _permute
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     LMFError,
     ShapeError,
@@ -32,7 +33,7 @@ from .factorize import (
     spec_to_dict,
 )
 from .matrix import RatingMatrix, load_ratings
-from .model import fallback_biases, lmf_fit
+from .model import UNCOVERED, fallback_biases, lmf_fit
 
 
 def rmse(truth, pred):
@@ -82,7 +83,9 @@ class FoldPlan:
 def kfold_split(m, k, seed=0):
     """Stratified per-user fold plan; deterministic for a fixed seed."""
     if k < 2:
-        raise ValueError("need at least 2 folds")
+        raise ConfigError("need at least 2 folds")
+    if seed < 0:
+        raise ConfigError(f"fold seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(m.nnz, dtype=np.int64)
     short_users = 0
@@ -166,9 +169,11 @@ def run_benchmark(config):
     """
     mode = config.get("mode", "both")
     if mode not in ("baseline", "lmf", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
     m = config.get("matrix")
     if m is None:
+        if "input" not in config:
+            raise ConfigError("the config names no 'input' rating log")
         m = load_ratings(config["input"])
     folds = config.get("folds", 5)
     seed = config.get("seed", 0)
@@ -179,13 +184,13 @@ def run_benchmark(config):
 
     run_lmf = mode in ("lmf", "both")
     run_base = mode in ("baseline", "both")
-    permute_mode = config.get("permute_mode", "balanced")
+    permute_mode = config.get("permute_mode", next(iter(PERMUTE_MODES)))
     target = config.get("target_density")
     shared_trees = config.get("trees")
     if shared_trees is not None and len(shared_trees) != folds:
-        raise ValueError("trees must supply one reordering per fold")
+        raise ConfigError("trees must supply one reordering per fold")
     if run_lmf and target is None and shared_trees is None:
-        raise ValueError("lmf mode needs a target_density")
+        raise ConfigError("lmf mode needs a target_density")
 
     truth_all, lmf_pred_all, base_pred_all = [], [], []
     fold_rmse_lmf, fold_rmse_base = [], []
@@ -218,7 +223,7 @@ def run_benchmark(config):
 
             with _stage("fit", fold):
                 model = lmf_fit(tree, m_tr, spec, threads=threads,
-                                uncovered=config.get("uncovered", "bias"))
+                                uncovered=config.get("uncovered", UNCOVERED[0]))
             times["fit"].append(model.timings["fit_wall"])
             times["stitch"].append(model.timings["stitch_wall"])
             stats["blocks"].append(model.n_blocks)

@@ -25,7 +25,7 @@ import struct
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -33,6 +33,7 @@ from scipy.linalg.lapack import dposv
 from scipy.sparse import csr_matrix
 
 from .errors import (
+    ConfigError,
     DivergenceError,
     DomainError,
     EmptyInputError,
@@ -71,12 +72,12 @@ class FactorizerSpec:
     levels: tuple = None
 
     def validate(self):
-        """Return self, or raise :class:`SpecError` for a field of the
-        wrong type and ``ValueError`` for an unknown algorithm or a value
-        out of range, NaN and infinities included. Booleans count as
-        neither integers nor reals."""
+        """Return self, or raise :class:`SpecError` for an unknown
+        algorithm, a field of the wrong type or a value out of range, NaN
+        and infinities included. Booleans count as neither integers nor
+        reals."""
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise SpecError(f"unknown algorithm {self.algorithm!r}")
         for name in ("r", "max_iters", "seed", "reg", "reg_user", "reg_item",
                      "margin_c", "learning_rate", "convergence_tol"):
             value = getattr(self, name)
@@ -90,15 +91,15 @@ class FactorizerSpec:
             raise SpecError(f"factorizer spec field 'levels' is "
                             f"{self.levels!r}, not a list of numbers")
         if self.r < 1:
-            raise ValueError("factor count r must be >= 1")
+            raise SpecError("factor count r must be >= 1")
         for name in ("reg", "reg_user", "reg_item", "margin_c",
                      "learning_rate", "convergence_tol"):
             if not 0 <= getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and >= 0")
+                raise SpecError(f"{name} must be finite and >= 0")
         if self.learning_rate == 0:
-            raise ValueError("learning_rate must be > 0")
+            raise SpecError("learning_rate must be > 0")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise SpecError("max_iters must be >= 1")
         return self
 
 
@@ -393,10 +394,12 @@ def factorize(m, spec, init=None, sample_order=None, iterate_hook=None):
 
     The objective never increases across iterations for svd_als and nmf;
     SGD objectives are tracked per epoch. Training is deterministic for a
-    fixed spec.
+    fixed spec, whose seed must be non-negative.
     """
     m = _resolve_matrix(m)
     spec.validate()
+    if spec.seed < 0:
+        raise ConfigError(f"factorize needs a non-negative seed, got {spec.seed}")
     if m.nnz == 0:
         raise EmptyInputError("cannot factorize a matrix with no entries")
     algo = _TABLE[spec.algorithm]
@@ -492,7 +495,7 @@ def load_factors(path):
     th = body[n_u + n_v:].reshape(n_rows, n_th) if n_th else None
     sidecar = read_json(f"{path}.json", ("spec", "final_objective", "history"))
     spec = spec_from_dict(sidecar["spec"])
-    if spec.algorithm != ALGORITHMS[algo]:
+    if algo >= len(ALGORITHMS) or spec.algorithm != ALGORITHMS[algo]:
         raise ShapeError(f"{path}: algorithm tag mismatch")
     pair = FactorPair(U.copy(), V.copy(),
                       thresholds=th.copy() if th is not None else None,
@@ -511,7 +514,7 @@ def spec_to_dict(spec):
 def spec_from_dict(d):
     """The validated :class:`FactorizerSpec` a dict of its fields
     describes; raises :class:`SpecError` naming any unknown key, missing
-    required key or field of the wrong type."""
+    required key, field of the wrong type or value out of range."""
     if not isinstance(d, dict):
         raise SpecError(f"factorizer spec is {type(d).__name__}, not an "
                         "object")
@@ -527,7 +530,3 @@ def spec_from_dict(d):
     if isinstance(d.get("levels"), list):
         d["levels"] = tuple(d["levels"])
     return FactorizerSpec(**d).validate()
-
-
-def with_seed(spec, seed):
-    return replace(spec, seed=seed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     DegenerateViewError,
     DuplicateEntryError,
@@ -287,7 +288,7 @@ def restricted_density(block, axis, index):
         if block.rows.size == 0:
             raise DegenerateViewError("block has no rows")
         return block.col_count_within(index) / block.rows.size
-    raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    raise ConfigError(f"axis must be 'row' or 'col', got {axis!r}")
 
 
 # -- permutation -----------------------------------------------------------
@@ -332,6 +333,34 @@ def to_bipartite(m):
 
 # -- loading ----------------------------------------------------------------
 
+def _records(path, min_fields):
+    """``(lineno, fields)`` per record line of a whitespace-separated UTF-8
+    file, skipping blank lines and ``#`` comments. A record with fewer than
+    ``min_fields`` fields, or bytes that are not UTF-8, raise
+    :class:`RatingFormatError` naming the file and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if len(fields) < min_fields:
+                    raise RatingFormatError(
+                        path, lineno,
+                        f"expected at least {min_fields} fields, got {len(fields)}")
+                yield lineno, fields
+    except UnicodeDecodeError:
+        # the text reader decodes whole chunks, so find the line by bytes
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise RatingFormatError(path, lineno,
+                                            f"not UTF-8: {exc}") from None
+        raise
+
+
 def load_ratings(path):
     """Parse a rating log into a densely re-indexed :class:`RatingMatrix`.
 
@@ -345,30 +374,22 @@ def load_ratings(path):
     rows, cols, vals = [], [], []
     seen = set()
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) < 3:
-                raise RatingFormatError(path, lineno,
-                                        f"expected at least 3 fields, got {len(fields)}")
-            user, item, raw = fields[0], fields[1], fields[2]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise RatingFormatError(path, lineno,
-                                        f"rating {raw!r} is not numeric") from None
-            i = row_ids.setdefault(user, len(row_ids))
-            j = col_ids.setdefault(item, len(col_ids))
-            if (i, j) in seen:
-                raise DuplicateEntryError(
-                    f"{path}:{lineno}: duplicate rating for user {user!r}, item {item!r}")
-            seen.add((i, j))
-            rows.append(i)
-            cols.append(j)
-            vals.append(value)
+    for lineno, fields in _records(path, 3):
+        user, item, raw = fields[0], fields[1], fields[2]
+        try:
+            value = float(raw)
+        except ValueError:
+            raise RatingFormatError(path, lineno,
+                                    f"rating {raw!r} is not numeric") from None
+        i = row_ids.setdefault(user, len(row_ids))
+        j = col_ids.setdefault(item, len(col_ids))
+        if (i, j) in seen:
+            raise DuplicateEntryError(
+                f"{path}:{lineno}: duplicate rating for user {user!r}, item {item!r}")
+        seen.add((i, j))
+        rows.append(i)
+        cols.append(j)
+        vals.append(value)
 
     if not rows:
         raise EmptyInputError(f"{path}: no rating records found")

@@ -25,7 +25,8 @@ from numbers import Real
 import numpy as np
 
 from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
-from .errors import LMFError, MissingLabelsError, ShapeError, read_json
+from .errors import ConfigError, LMFError, MissingLabelsError, ShapeError, \
+    read_json
 from .factorize import (
     FactorPair,
     _chunk_rows,
@@ -36,39 +37,46 @@ from .factorize import (
     save_factors,
     spec_from_dict,
     spec_to_dict,
-    with_seed,
 )
 from .matrix import _positions
 
 _BIAS_DAMPING = 25.0
+# how a cell that no block covers is predicted (see LMFModel.predict_many);
+# the first is the default
+UNCOVERED = ("bias", "cross")
 
 
 def _finite(value):
     return _is_number(value, Real) and abs(value) <= sys.float_info.max
 
 
-def fallback_biases(m, damping=_BIAS_DAMPING):
+def fallback_biases(m):
     """Global mean and damped per-row/per-column biases (one pass: row
     biases first, column biases on the row-debiased residuals)."""
     mu = float(m.vals.mean()) if m.nnz else 0.0
     resid = m.vals - mu
     b_u = np.bincount(m.rows, weights=resid, minlength=m.n_rows)
-    b_u = b_u / (m.row_counts() + damping)
+    b_u = b_u / (m.row_counts() + _BIAS_DAMPING)
     resid = resid - b_u[m.rows]
     b_i = np.bincount(m.cols, weights=resid, minlength=m.n_cols)
-    b_i = b_i / (m.col_counts() + damping)
+    b_i = b_i / (m.col_counts() + _BIAS_DAMPING)
     return mu, b_u, b_i
 
 
 class LMFModel:
-    """Per-block factor pairs plus the bookkeeping needed to stitch them."""
+    """One factor pair per leaf of ``tree``, in tree order, over the rows
+    and columns of :func:`assembled_indices`, plus what stitching needs."""
 
-    def __init__(self, tree, block_rows, block_cols, pairs, mu, b_user,
-                 b_item, spec, value_range, blocks=None, timings=None,
-                 uncovered="bias"):
+    def __init__(self, tree, pairs, mu, b_user, b_item, spec, value_range,
+                 blocks=None, timings=None, uncovered=UNCOVERED[0]):
+        _, self.block_rows, self.block_cols = zip(*assembled_indices(tree))
+        if len(pairs) != len(self.block_rows):
+            raise ShapeError(f"{len(pairs)} factor pairs for a tree with "
+                             f"{len(self.block_rows)} leaves")
+        if uncovered not in UNCOVERED:
+            raise ConfigError(f"uncovered must be one of {UNCOVERED}, got "
+                              f"{uncovered!r}")
         self.tree = tree
-        self.block_rows = block_rows
-        self.block_cols = block_cols
         self.pairs = pairs
         self.mu = mu
         self.b_user = b_user
@@ -77,12 +85,10 @@ class LMFModel:
         self.value_range = value_range
         self.blocks = blocks  # AssembledBlock list when fitted in-process
         self.timings = timings or {}
-        if uncovered not in ("bias", "cross"):
-            raise ValueError("uncovered must be 'bias' or 'cross'")
         self.uncovered = uncovered
 
-        self._rpos = [_positions(rows, tree.n_rows) for rows in block_rows]
-        self._cpos = [_positions(cols, tree.n_cols) for cols in block_cols]
+        self._rpos = [_positions(rows, tree.n_rows) for rows in self.block_rows]
+        self._cpos = [_positions(cols, tree.n_cols) for cols in self.block_cols]
 
     @property
     def n_blocks(self):
@@ -222,10 +228,10 @@ class LMFModel:
             raise ShapeError(f"{path}: 'mu' must be a finite number and "
                              "'value_range' two finite numbers, low first; "
                              f"found {mu!r} and {value_range!r}")
-        uncovered = manifest.get("uncovered", "bias")
-        if uncovered not in ("bias", "cross"):
-            raise ShapeError(f"{path}: 'uncovered' is {uncovered!r}, not "
-                             "'bias' or 'cross'")
+        uncovered = manifest.get("uncovered", UNCOVERED[0])
+        if uncovered not in UNCOVERED:
+            raise ShapeError(f"{path}: 'uncovered' is {uncovered!r}, not one "
+                             f"of {UNCOVERED}")
         spec = spec_from_dict(manifest["spec"])
         leaves = list(assembled_indices(tree))
         if manifest["n_blocks"] != len(leaves):
@@ -256,9 +262,7 @@ class LMFModel:
         b = np.frombuffer(raw, dtype="<f8")
         b_user = b[:tree.n_rows].copy()
         b_item = b[tree.n_rows:tree.n_rows + tree.n_cols].copy()
-        return cls(tree, [rows for _, rows, _ in leaves],
-                   [cols for _, _, cols in leaves], pairs, mu,
-                   b_user, b_item, spec, tuple(value_range),
+        return cls(tree, pairs, mu, b_user, b_item, spec, tuple(value_range),
                    uncovered=uncovered)
 
 
@@ -305,17 +309,14 @@ def _single_blas_thread():
 
 def _fit_one_block(args):
     block_matrix, spec = args
-    t0 = time.perf_counter()
     if block_matrix.nnz == 0:
-        pair = FactorPair(np.zeros((block_matrix.n_rows, spec.r)),
+        return FactorPair(np.zeros((block_matrix.n_rows, spec.r)),
                           np.zeros((block_matrix.n_cols, spec.r)),
                           final_objective=0.0, history=[0.0])
-    else:
-        pair = factorize(block_matrix, spec)
-    return pair, time.perf_counter() - t0
+    return factorize(block_matrix, spec)
 
 
-def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
+def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
     """Factorize every assembled block of ``tree`` independently.
 
     Blocks are dispatched largest-first over a pool of at most ``threads``
@@ -326,8 +327,6 @@ def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
     computed from all training entries.
     """
     spec.validate()
-    if m.n_rows != tree.n_rows or m.n_cols != tree.n_cols:
-        raise ShapeError("matrix dimensions do not match the tree")
     blocks = assemble_blocks(tree, m)
 
     if spec.algorithm == "mmmf_fast" and spec.levels is None:
@@ -337,11 +336,10 @@ def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
 
     order = sorted(range(len(blocks)), key=lambda k: -blocks[k].nnz)
     jobs = [(blocks[k].matrix,
-             with_seed(spec, _derive_seed(spec.seed, (7001, k))))
+             replace(spec, seed=_derive_seed(spec.seed, (7001, k))))
             for k in order]
 
     pairs = [None] * len(blocks)
-    block_times = [0.0] * len(blocks)
     workers = min(threads, len(os.sched_getaffinity(0)), len(blocks))
     t_fit = time.perf_counter()
     with (ProcessPoolExecutor(max_workers=workers,
@@ -350,23 +348,18 @@ def lmf_fit(tree, m, spec, threads=1, uncovered="bias"):
         results = (pool.map if pool else map)(_fit_one_block, jobs)
         for k in order:
             try:
-                pairs[k], block_times[k] = next(results)
+                pairs[k] = next(results)
             except LMFError as exc:
                 raise _tag_block_error(exc, k) from exc
     fit_wall = time.perf_counter() - t_fit
 
     t_stitch = time.perf_counter()
     mu, b_u, b_i = fallback_biases(m)
-    block_rows = [b.rows for b in blocks]
-    block_cols = [b.cols for b in blocks]
-    model = LMFModel(
-        tree, block_rows, block_cols, pairs, mu, b_u, b_i, spec,
-        m.value_range(), blocks=blocks,
+    return LMFModel(
+        tree, pairs, mu, b_u, b_i, spec, m.value_range(), blocks=blocks,
         timings={"fit_wall": fit_wall,
-                 "stitch_wall": time.perf_counter() - t_stitch,
-                 "block_fit": block_times},
+                 "stitch_wall": time.perf_counter() - t_stitch},
         uncovered=uncovered)
-    return model
 
 
 def coverage_count(model, i, j):

@@ -47,9 +47,8 @@ class BipartiteGraph:
     """Row/column bipartite graph of a sparse matrix.
 
     R-nodes occupy ids ``[0, n_r)``; C-nodes occupy ``[n_r, n_r + n_c)``.
-    Edges connect R-nodes to C-nodes only, one per distinct entry, and are
-    unweighted; node weights are 1 at the finest level and aggregate under
-    coarsening.
+    Edges connect R-nodes to C-nodes only, one per distinct entry. Nodes
+    and edges are unweighted; weights appear only under coarsening.
     """
 
     n_r: int
@@ -58,10 +57,9 @@ class BipartiteGraph:
     edge_c: np.ndarray  # already offset by n_r
     xadj: np.ndarray = field(repr=False)
     adjncy: np.ndarray = field(repr=False)
-    node_weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_entries(cls, n_rows, n_cols, rows, cols, node_weights=None):
+    def from_entries(cls, n_rows, n_cols, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         n = n_rows + n_cols
@@ -78,9 +76,7 @@ class BipartiteGraph:
             src, dst = src[keep], dst[keep]
             rows, edge_c = src[src < n_rows], dst[src < n_rows]
         xadj = np.searchsorted(src, np.arange(n + 1))
-        if node_weights is None:
-            node_weights = np.ones(n, dtype=np.int64)
-        return cls(n_rows, n_cols, rows, edge_c, xadj, dst, node_weights)
+        return cls(n_rows, n_cols, rows, edge_c, xadj, dst)
 
     @property
     def n_nodes(self):
@@ -131,7 +127,7 @@ class _Level:
 def _level_from_graph(g):
     adjwgt = np.ones(g.adjncy.size, dtype=np.int64)
     return _Level(g.xadj.copy(), g.adjncy.copy(), adjwgt,
-                  g.node_weights.astype(np.int64, copy=True))
+                  np.ones(g.n_nodes, dtype=np.int64))
 
 
 def _part_cap(total_w, max_vw, tol):
@@ -321,7 +317,12 @@ def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
     return side
 
 
-def _initial_bisection(level, tol, rng):
+def _initial_bisection(level, tol, rng, grown):
+    """The best of the grow-and-refine bisections from a few seed nodes.
+
+    ``grown`` maps a seed node to its ``((cut, imbalance), side)``, or to
+    None when growth swallowed the graph; it is filled here and may carry
+    the results of an earlier call on the same level."""
     n = level.n
     total_w = int(level.vwgt.sum())
     cap = _part_cap(total_w, int(level.vwgt.max()), tol)
@@ -338,15 +339,17 @@ def _initial_bisection(level, tol, rng):
             seeds.append(int(s))
     best = None
     for s in seeds:
-        side = _grow_from_seed(level, int(s), cap, total_w)
-        if (side == 0).all() or (side == 1).all():
-            continue
-        side = _fm_refine(level, side, tol)
-        cut = _cut_value(level, side)
-        imb = abs(int(level.vwgt[side == 0].sum()) - int(level.vwgt[side == 1].sum()))
-        key = (cut, imb)
-        if best is None or key < best[0]:
-            best = (key, side.copy())
+        if s not in grown:
+            side = _grow_from_seed(level, s, cap, total_w)
+            if (side == 0).all() or (side == 1).all():
+                grown[s] = None
+                continue
+            side = _fm_refine(level, side, tol)
+            cut = _cut_value(level, side)
+            imb = abs(int(level.vwgt[side == 0].sum()) - int(level.vwgt[side == 1].sum()))
+            grown[s] = ((cut, imb), side.copy())
+        if grown[s] is not None and (best is None or grown[s][0] < best[0]):
+            best = grown[s]
     if best is None:
         # every growth swallowed the graph; fall back to lowest-index split
         side = np.ones(n, dtype=np.int8)
@@ -355,7 +358,9 @@ def _initial_bisection(level, tol, rng):
     return best[1]
 
 
-def _bisect_once(level0, tol, rng):
+def _bisect_once(level0, tol, rng, grown):
+    """One multilevel bisection; ``grown`` is :func:`_initial_bisection`'s
+    cache for ``level0``, used only when ``level0`` is not coarsened."""
     levels = [level0]
     cmaps = []
     while levels[-1].n > COARSE_TARGET:
@@ -364,7 +369,8 @@ def _bisect_once(level0, tol, rng):
             break
         levels.append(coarse)
         cmaps.append(cmap)
-    side = _initial_bisection(levels[-1], tol, rng)
+    side = _initial_bisection(levels[-1], tol, rng,
+                              grown if len(levels) == 1 else {})
     for level, cmap in zip(reversed(levels[:-1]), reversed(cmaps)):
         side = side[cmap]
         side = _fm_refine(level, side, tol)
@@ -375,11 +381,14 @@ def _bisect_nodes(level0, tol, seed):
     """Multilevel two-way split of an internal level graph; returns sides.
 
     Runs a couple of independent multilevel attempts (coarsening is
-    randomized) and keeps the smallest cut, ties broken by balance."""
+    randomized) and keeps the smallest cut, ties broken by balance. Tries
+    that do not coarsen share their grow-and-refine results per seed node,
+    which are deterministic."""
     rng = np.random.default_rng(seed)
     best = None
+    grown = {}
     for _ in range(_BISECT_TRIES):
-        side = _bisect_once(level0, tol, rng)
+        side = _bisect_once(level0, tol, rng, grown)
         cut = _cut_value(level0, side)
         imb = abs(int(level0.vwgt[side == 0].sum())
                   - int(level0.vwgt[side == 1].sum()))
@@ -543,12 +552,11 @@ def _refine_separator(g, tag):
 
     Moving separator node v into part p forces v's neighbors from the
     other part into the separator; the move is applied only when it
-    strictly reduces total separator weight (isolated separator nodes go
-    to the lighter part). Separator weight decreases monotonically, so
-    the fixpoint loop terminates; scan order is ascending node id for
+    strictly reduces the separator's node count (isolated separator nodes
+    go to the smaller part). The count decreases monotonically, so the
+    fixpoint loop terminates; scan order is ascending node id for
     determinism.
     """
-    vw = g.node_weights
     changed = True
     while changed:
         changed = False
@@ -558,13 +566,13 @@ def _refine_separator(g, tag):
             in0 = nbrs[nbr_tags == 0]
             in1 = nbrs[nbr_tags == 1]
             if in0.size == 0 and in1.size == 0:
-                w0 = int(vw[tag == 0].sum())
-                w1 = int(vw[tag == 1].sum())
-                tag[v] = 0 if w0 <= w1 else 1
+                n0 = int((tag == 0).sum())
+                n1 = int((tag == 1).sum())
+                tag[v] = 0 if n0 <= n1 else 1
                 changed = True
                 continue
-            gain0 = int(vw[v]) - int(vw[in1].sum())  # pull in1 into the separator
-            gain1 = int(vw[v]) - int(vw[in0].sum())
+            gain0 = 1 - in1.size  # pull in1 into the separator
+            gain1 = 1 - in0.size
             best_p, best_gain = (0, gain0) if gain0 >= gain1 else (1, gain1)
             if best_gain <= 0:
                 continue

@@ -4,6 +4,7 @@ clean failures on truncated or edited model files."""
 import json
 import os
 import shutil
+import struct
 import tempfile
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lmf import FactorizerSpec, LMFModel, balanced_permute, lmf_fit
 from lmf.cli import main as cli_main
-from lmf.errors import LMFError, ShapeError
+from lmf.errors import LMFError, ShapeError, SpecError
 
 from conftest import planted_blocks
 
@@ -111,15 +112,41 @@ EDITS = {
                        lambda d: d.__setitem__("value_range", [5, 1])),
     "range unbounded": ("manifest.json", lambda d: d.__setitem__(
         "value_range", [1, float("inf")])),
+    "row label a list": ("tree.json",
+                         lambda d: d["row_ids"].__setitem__(0, [1])),
+    "row label repeated": ("tree.json", lambda d: d["row_ids"]
+                           .__setitem__(1, d["row_ids"][0])),
+    # a byte edit: the header's algorithm tag, past the four in the table
+    "algorithm tag out of range": ("block_0000.fac", lambda raw: raw[:8]
+                                   + struct.pack("<I", 4) + raw[12:]),
 }
 
 
 @pytest.mark.parametrize("what", sorted(EDITS))
 def test_edited_model_file_fails_cleanly(saved, what):
     name, change = EDITS[what]
-    tmp, edited = _edited_copy(saved[0], name, _json_edit(change))
+    edit = _json_edit(change) if name.endswith(".json") else change
+    tmp, edited = _edited_copy(saved[0], name, edit)
     with tmp:
         _assert_fails_cleanly(edited, saved[1])
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "block_0001.fac.json"])
+@pytest.mark.parametrize("field, value, message", [
+    ("r", 0, "factor count r must be >= 1"),
+    ("algorithm", "als", "unknown algorithm 'als'")])
+def test_out_of_range_stored_spec_is_a_spec_error(saved, name, field, value,
+                                                  message):
+    """A stored spec with a value out of range raises :class:`SpecError`
+    (exit 2), as one with a field of the wrong type does."""
+    tmp, edited = _edited_copy(
+        saved[0], name, _json_edit(lambda d: d["spec"].__setitem__(field,
+                                                                   value)))
+    with tmp:
+        with pytest.raises(SpecError, match=message):
+            LMFModel.load(edited)
+        assert cli_main(["predict", "--model", edited,
+                         "--pairs", str(saved[1])]) == 2
 
 
 @settings(max_examples=60, deadline=None,

@@ -499,3 +499,98 @@ def test_cli_env_thread_default(monkeypatch):
     assert _default_threads() == 7
     monkeypatch.setenv("LMF_THREADS", "junk")
     assert _default_threads() == 1
+
+
+# -- one family of input errors ----------------------------------------------------
+
+def test_cli_lets_a_defect_propagate(tmp_path, monkeypatch):
+    """Only an ``LMFError`` or an ``OSError`` is bad input; a ``ValueError``
+    from inside a command is a defect and keeps its traceback."""
+    import lmf.cli
+
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+
+    def broken(*args, **kwargs):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(lmf.cli, "kfold_split", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli_main(["split", "--input", str(data), "--folds", "2",
+                  "--out", str(tmp_path / "f")])
+
+
+def test_cli_non_utf8_files_name_file_and_line(tmp_path, capsys):
+    ratings = tmp_path / "latin1.tsv"
+    # past the text reader's first chunk, so it fails mid-file
+    ratings.write_bytes("".join(f"u{k} i{k} 4\n" for k in range(4000))
+                        .encode() + "café b 3\n".encode("latin-1"))
+    assert cli_main(["split", "--input", str(ratings), "--folds", "2",
+                     "--out", str(tmp_path / "f")]) == 2
+    assert f"{ratings}:4001: not UTF-8" in capsys.readouterr().err
+
+    model = tmp_path / "model"
+    data = tmp_path / "ok.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    assert cli_main(["fit", "--input", str(data), "--algo", "svd",
+                     "--factors", "2", "--iters", "3", "--out", str(model)]) == 0
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(b"u0 i1\nu1 \xff\n")
+    capsys.readouterr()
+    assert cli_main(["predict", "--model", str(model),
+                     "--pairs", str(pairs)]) == 2
+    assert f"{pairs}:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_input_errors_without_a_catch_all(tmp_path, capsys):
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    assert cli_main(["split", "--input", str(data), "--folds", "2",
+                     "--seed", "-1", "--out", str(tmp_path / "f")]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    # the fit derives each block's seed, so a negative one still fits
+    assert cli_main(["fit", "--input", str(data), "--algo", "svd",
+                     "--factors", "2", "--iters", "2", "--seed", "-1",
+                     "--out", str(tmp_path / "m")]) == 0
+
+    config = tmp_path / "bench.json"
+    for doc in ([{"input": str(data)}], {"algorithm": "svd_als",
+                                         "mode": "baseline"}):
+        config.write_text(json.dumps(doc))
+        assert cli_main(["bench", "--config", str(config)]) == 2
+    config.write_text('{"input": ')
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    assert f"{config} is not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_fit_leaves_spec_defaults_to_the_spec(tmp_path, monkeypatch):
+    import lmf.cli
+    from lmf import FactorizerSpec
+    from lmf.errors import EmptyInputError
+
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    specs = []
+
+    def fit(tree, m, spec, **kwargs):
+        specs.append(spec)
+        raise EmptyInputError("stop after the spec is built")
+
+    monkeypatch.setattr(lmf.cli, "lmf_fit", fit)
+    base = ["fit", "--input", str(data), "--out", str(tmp_path / "m")]
+    assert cli_main(base + ["--algo", "mmmf", "--seed", "5"]) == 4
+    assert specs.pop() == FactorizerSpec(algorithm="mmmf_fast", seed=5)
+    assert cli_main(base + ["--algo", "pmf", "--factors", "3", "--reg-item",
+                            "0.5", "--tol", "0.01"]) == 4
+    assert specs.pop() == FactorizerSpec(algorithm="pmf_sgd", r=3,
+                                         reg_item=0.5, convergence_tol=0.01)
+
+
+def test_cli_permute_modes_are_the_mode_table():
+    from lmf.bbdf import PERMUTE_MODES
+    from lmf.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    mode = next(a for a in sub.choices["permute"]._actions if a.dest == "mode")
+    assert list(mode.choices) == list(PERMUTE_MODES)
+    assert mode.default == "balanced"

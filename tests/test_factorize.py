@@ -137,6 +137,14 @@ def test_factorize_empty_matrix_raises():
         factorize(m, FactorizerSpec(algorithm="svd_als", r=1))
 
 
+def test_factorize_rejects_negative_seed():
+    from lmf.errors import ConfigError
+
+    m = RatingMatrix(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+    with pytest.raises(ConfigError, match="non-negative seed"):
+        factorize(m, FactorizerSpec(algorithm="svd_als", r=1, seed=-1))
+
+
 def test_nmf_rejects_negative_values():
     m = RatingMatrix(2, 2, [0, 1], [0, 1], [1.0, -2.0])
     with pytest.raises(DomainError):
@@ -191,9 +199,8 @@ def _one_block_model(pair, value_range):
     rows, cols = np.arange(n_rows), np.arange(n_cols)
     tree = BBDFTree(BBDFNode(rows, cols), "bbdf", 0, 1.0,
                     n_rows=n_rows, n_cols=n_cols)
-    return LMFModel(tree, [rows], [cols], [pair], 0.0, np.zeros(n_rows),
-                    np.zeros(n_cols), FactorizerSpec(algorithm="svd_als",
-                                                     r=pair.r), value_range)
+    return LMFModel(tree, [pair], 0.0, np.zeros(n_rows), np.zeros(n_cols),
+                    FactorizerSpec(algorithm="svd_als", r=pair.r), value_range)
 
 
 def test_predict_many_one_block_cases():

@@ -65,9 +65,8 @@ def test_single_leaf_model_equals_plain_factorizer():
     m = planted_blocks(rng, [(8, 9)], 0.5)
     model = lmf_fit(single_leaf_tree(m), m, SPEC)
     from lmf.bbdf import _derive_seed
-    from lmf.factorize import with_seed
 
-    pair = factorize(m, with_seed(SPEC, _derive_seed(SPEC.seed, (7001, 0))))
+    pair = factorize(m, replace(SPEC, seed=_derive_seed(SPEC.seed, (7001, 0))))
     lo, hi = m.value_range()
     for i in range(m.n_rows):
         for j in range(m.n_cols):
@@ -509,6 +508,27 @@ def test_fit_rejects_mismatched_matrix():
     other = planted_blocks(rng, [(7, 6)], 0.5)
     with pytest.raises(ShapeError):
         lmf_fit(single_leaf_tree(m), other, SPEC)
+
+
+def test_model_takes_its_blocks_from_the_tree():
+    from lmf.bbdf import assembled_indices
+    from lmf.errors import ConfigError
+
+    rng = np.random.default_rng(13)
+    m = bordered_matrix(rng)
+    tree = bordered_tree(m)
+    model = lmf_fit(tree, m, SPEC)
+    for (_, rows, cols), r, c, b in zip(assembled_indices(tree),
+                                        model.block_rows, model.block_cols,
+                                        model.blocks):
+        assert np.array_equal(rows, r) and np.array_equal(rows, b.rows)
+        assert np.array_equal(cols, c) and np.array_equal(cols, b.cols)
+    args = (model.mu, model.b_user, model.b_item, SPEC, model.value_range)
+    for pairs in (model.pairs[:1], model.pairs * 2):
+        with pytest.raises(ShapeError, match="2 leaves"):
+            LMFModel(tree, pairs, *args)
+    with pytest.raises(ConfigError, match="'near'"):
+        LMFModel(tree, model.pairs, *args, uncovered="near")
 
 
 def test_public_surface():

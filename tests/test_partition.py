@@ -543,3 +543,38 @@ def test_fm_kernel_choice_leaves_bisections_and_trees_unchanged(monkeypatch):
                      tree.to_json()))
     assert out[0] == out[1]
     assert len(json.loads(out[0][2])["root"]["children"]) >= 2
+
+
+def test_uncoarsened_bisection_grows_each_seed_once(monkeypatch):
+    """The tries of a bisection whose graph is not coarsened share each seed
+    node's grow-and-refine result, and the split equals the one from tries
+    that each grow their own."""
+    rng = np.random.default_rng(5)
+    graphs = [to_bipartite(planted_blocks(rng, [(20, 25), (25, 20)], 0.4,
+                                          density_cross=0.05)),
+              graph(30, 30, [(int(i), int(j)) for i, j in
+                             zip(*np.nonzero(rng.random((30, 30)) < 0.1))])]
+    grow, bisect_once = partition._grow_from_seed, partition._bisect_once
+    calls = []
+
+    def counted(level, seed_node, cap, total_w):
+        calls.append((id(level), seed_node))
+        return grow(level, seed_node, cap, total_w)
+
+    def unshared(level0, tol, rng, grown):
+        return bisect_once(level0, tol, rng, {})
+
+    monkeypatch.setattr(partition, "_grow_from_seed", counted)
+    for g in graphs:
+        assert g.n_nodes <= partition.COARSE_TARGET
+        for seed in range(4):
+            calls.clear()
+            shared = gpvs_bisect(g, 0.2, seed=seed)
+            assert len(calls) == len(set(calls)) > 0
+            with monkeypatch.context() as mp:
+                mp.setattr(partition, "_bisect_once", unshared)
+                alone = gpvs_bisect(g, 0.2, seed=seed)
+            assert len(calls) > len(set(calls))
+            assert [p.tolist() for p in shared.parts] == \
+                [p.tolist() for p in alone.parts]
+            assert shared.separator.tolist() == alone.separator.tolist()
