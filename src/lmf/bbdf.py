@@ -19,6 +19,7 @@ border, is the unit that gets factorized independently downstream.
 from __future__ import annotations
 
 import json
+from numbers import Real
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
     read_json,
     require_keys,
 )
+from .factorize import _is_number
 from .matrix import IndexPermutation, RatingMatrix, SubmatrixView, _positions
 from .partition import BipartiteGraph, gpes_bisect, gpvs_bisect
 
@@ -358,60 +360,37 @@ def basic_bbdf_step(view, seed=0):
 # -- density promotion --------------------------------------------------------
 
 class _BlockState:
-    """Mutable row/column bookkeeping for one block during promotion."""
+    """Promotion bookkeeping for one block, per axis (rows, then columns):
+    the global indices, which of them are still in the block, their entry
+    counts inside it, the global-to-local position map, and how many are
+    still in it."""
 
-    __slots__ = ("rows", "cols", "row_alive", "col_alive", "row_cnt",
-                 "col_cnt", "rpos", "cpos", "n_alive_rows", "n_alive_cols")
+    __slots__ = ("idx", "alive", "cnt", "pos", "n")
 
     def __init__(self, view):
         m = view.matrix
-        self.rows = view.rows
-        self.cols = view.cols
-        self.row_alive = np.ones(self.rows.size, dtype=bool)
-        self.col_alive = np.ones(self.cols.size, dtype=bool)
-        self.rpos = _positions(self.rows, m.n_rows)
-        self.cpos = _positions(self.cols, m.n_cols)
         eidx = view.entry_indices()
-        self.row_cnt = np.bincount(self.rpos[m.rows[eidx]],
-                                   minlength=self.rows.size).astype(np.int64)
-        self.col_cnt = np.bincount(self.cpos[m.cols[eidx]],
-                                   minlength=self.cols.size).astype(np.int64)
-        self.n_alive_rows = int(self.rows.size)
-        self.n_alive_cols = int(self.cols.size)
+        self.idx = (view.rows, view.cols)
+        self.alive = tuple(np.ones(ix.size, dtype=bool) for ix in self.idx)
+        self.pos = (_positions(view.rows, m.n_rows),
+                    _positions(view.cols, m.n_cols))
+        self.cnt = tuple(
+            np.bincount(pos[ends[eidx]], minlength=ix.size).astype(np.int64)
+            for pos, ends, ix in zip(self.pos, (m.rows, m.cols), self.idx))
+        self.n = [int(ix.size) for ix in self.idx]
 
-    @property
-    def nnz(self):
-        return int(self.row_cnt[self.row_alive].sum())
-
-    @property
-    def area(self):
-        return self.n_alive_rows * self.n_alive_cols
-
-    def remove_row(self, k, m):
-        cnt = int(self.row_cnt[k])
-        self.row_alive[k] = False
-        self.n_alive_rows -= 1
-        g = self.rows[k]
-        inside = self.cpos[m.row_cols(g)]
+    def remove(self, axis, k, m):
+        """Take vector ``k`` of ``axis`` out of the block, update the other
+        axis's counts, and return its entry count inside the block."""
+        other = 1 - axis
+        self.alive[axis][k] = False
+        self.n[axis] -= 1
+        inside = self.pos[other][(m.row_cols, m.col_rows)[axis](
+            self.idx[axis][k])]
         inside = inside[inside >= 0]
-        inside = inside[self.col_alive[inside]]
-        np.subtract.at(self.col_cnt, inside, 1)
-        return cnt
-
-    def remove_col(self, k, m):
-        cnt = int(self.col_cnt[k])
-        self.col_alive[k] = False
-        self.n_alive_cols -= 1
-        g = self.cols[k]
-        inside = self.rpos[m.col_rows(g)]
-        inside = inside[inside >= 0]
-        inside = inside[self.row_alive[inside]]
-        np.subtract.at(self.row_cnt, inside, 1)
-        return cnt
-
-    def alive_view(self, m):
-        return SubmatrixView(m, self.rows[self.row_alive],
-                             self.cols[self.col_alive])
+        inside = inside[self.alive[other][inside]]
+        np.subtract.at(self.cnt[other], inside, 1)
+        return int(self.cnt[axis][k])
 
 
 _BIG = np.iinfo(np.int64).max
@@ -436,51 +415,44 @@ def improve_density(children, target):
         raise DegenerateBlockError("no blocks to promote from")
     m = children[0].matrix
     states = [_BlockState(v) for v in children]
-    N = sum(s.nnz for s in states)
-    S = sum(s.area for s in states)
+    N = sum(int(st.cnt[0].sum()) for st in states)
+    S = sum(st.n[0] * st.n[1] for st in states)
     promoted = []
 
     while S > 0 and N / S < target:
         cur = N / S
         best = None  # (value, block_idx, axis, position)
         for bi, st in enumerate(states):
-            if st.n_alive_rows and st.n_alive_cols:
-                s_row = st.n_alive_cols
-                if S - s_row > 0:
-                    masked = np.where(st.row_alive, st.row_cnt, _BIG)
+            if not (st.n[0] and st.n[1]):
+                continue
+            for axis in (0, 1):  # rows first, so a tie keeps the row
+                area = st.n[1 - axis]  # what removing one vector frees
+                if S - area > 0:
+                    masked = np.where(st.alive[axis], st.cnt[axis], _BIG)
                     k = int(np.argmin(masked))
-                    val = (N - masked[k]) / (S - s_row)
+                    val = (N - masked[k]) / (S - area)
                     if val > cur and (best is None or val > best[0]):
-                        best = (val, bi, "row", k)
-                s_col = st.n_alive_rows
-                if S - s_col > 0:
-                    masked = np.where(st.col_alive, st.col_cnt, _BIG)
-                    k = int(np.argmin(masked))
-                    val = (N - masked[k]) / (S - s_col)
-                    if val > cur and (best is None or val > best[0]):
-                        best = (val, bi, "col", k)
+                        best = (val, bi, axis, k)
         if best is None:
             raise DegenerateBlockError(
                 "no single vector removal raises the pooled density")
         _, bi, axis, k = best
         st = states[bi]
-        if axis == "row":
-            S -= st.n_alive_cols
-            N -= st.remove_row(k, m)
-            promoted.append((bi, "row", int(st.rows[k])))
-        else:
-            S -= st.n_alive_rows
-            N -= st.remove_col(k, m)
-            promoted.append((bi, "col", int(st.cols[k])))
+        S -= st.n[1 - axis]
+        N -= st.remove(axis, k, m)
+        promoted.append((bi, ("row", "col")[axis], int(st.idx[axis][k])))
 
-    return [st.alive_view(m) for st in states], promoted
+    return [SubmatrixView(m, *(ix[alive] for ix, alive
+                               in zip(st.idx, st.alive)))
+            for st in states], promoted
 
 
 # -- exact and approximate mode --------------------------------------------------
 
 def _validate_target(target):
-    if not (0.0 < target <= 1.0):
-        raise ConfigError(f"target density must be in (0, 1], got {target}")
+    if not (_is_number(target, Real) and 0.0 < target <= 1.0):
+        raise ConfigError(f"target density must be a number in (0, 1], got "
+                          f"{target!r}")
 
 
 def _recursive_permute(m, mode, target_density, seed, split):
@@ -564,26 +536,6 @@ def abbdf_permute(m, target_density, seed=0):
 
 # -- balanced mode ---------------------------------------------------------------
 
-class _LeafState:
-    __slots__ = ("node", "asm_eidx", "asm_nr", "asm_nc", "trial", "tried")
-
-    def __init__(self, node, asm_eidx, asm_nr, asm_nc):
-        self.node = node
-        self.asm_eidx = asm_eidx
-        self.asm_nr = asm_nr
-        self.asm_nc = asm_nc
-        self.trial = None
-        self.tried = False
-
-    @property
-    def asm_n(self):
-        return int(self.asm_eidx.size)
-
-    @property
-    def asm_area(self):
-        return self.asm_nr * self.asm_nc
-
-
 def balanced_permute(m, target_density, seed=0, on_round=None):
     """Size-balanced reordering gated on assembled-block density.
 
@@ -599,77 +551,57 @@ def balanced_permute(m, target_density, seed=0, on_round=None):
     """
     _validate_target(target_density)
     root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols), path=())
-    states = [_LeafState(root, np.arange(m.nnz, dtype=np.int64),
-                         m.n_rows, m.n_cols)]
+    # per leaf: (node, its assembled block's entry indices, row and col counts)
+    leaves = [(root, np.arange(m.nnz, dtype=np.int64), m.n_rows, m.n_cols)]
+    splits = {}  # node.path -> (row border, col border, child leaves) or None
     rounds = []
 
-    def trial(st):
-        if st.tried:
-            return st.trial
-        st.tried = True
-        node = st.node
-        view = SubmatrixView(m, node.rows, node.cols)
-        try:
-            children, (rb, cb), _ = basic_bbdf_step(
-                view, _derive_seed(seed, node.path))
-        except NoSplitError:
-            st.trial = None
-            return None
-        child_stats = []
-        for ci, ch in enumerate(children):
-            other = children[1 - ci]
-            omask_r = np.zeros(m.n_rows, dtype=bool)
-            omask_c = np.zeros(m.n_cols, dtype=bool)
-            omask_r[other.rows] = True
-            omask_c[other.cols] = True
-            keep = ~(omask_r[m.rows[st.asm_eidx]]
-                     | omask_c[m.cols[st.asm_eidx]])
-            child_stats.append({
-                "eidx": st.asm_eidx[keep],
-                "nr": st.asm_nr - other.rows.size,
-                "nc": st.asm_nc - other.cols.size,
-            })
-        st.trial = {"children": children, "rb": rb, "cb": cb,
-                    "stats": child_stats}
-        return st.trial
+    def split(leaf):
+        node, eidx, nr, nc = leaf
+        if node.path not in splits:
+            try:
+                children, (rb, cb), _ = basic_bbdf_step(
+                    SubmatrixView(m, node.rows, node.cols),
+                    _derive_seed(seed, node.path))
+            except NoSplitError:
+                splits[node.path] = None
+                return None
+            # a child's block loses the entries in the other child's rows
+            # or columns
+            rowtag, coltag = _child_tags(children, m.n_rows, m.n_cols)
+            tr, tc = rowtag[m.rows[eidx]], coltag[m.cols[eidx]]
+            splits[node.path] = rb, cb, [
+                (BBDFNode(ch.rows, ch.cols, path=node.path + (ci,)),
+                 eidx[(tr != 1 - ci) & (tc != 1 - ci)],
+                 nr - other.rows.size, nc - other.cols.size)
+                for ci, (ch, other) in enumerate(zip(children, children[::-1]))]
+        return splits[node.path]
 
     while True:
-        S = sum(s.asm_area for s in states)
-        N = sum(s.asm_n for s in states)
-        if S == 0:
+        S = sum(nr * nc for _, _, nr, nc in leaves)
+        N = sum(eidx.size for _, eidx, _, _ in leaves)
+        if S == 0 or N / S >= target_density:
             break
-        rho = N / S
-        if rho >= target_density:
-            break
-        order = sorted(range(len(states)),
-                       key=lambda k: (-states[k].node.block_area, k))
-        accepted = None
+        order = sorted(range(len(leaves)),
+                       key=lambda k: (-leaves[k][0].block_area, k))
         for pos, k in enumerate(order):
-            st = states[k]
-            t = trial(st)
+            t = split(leaves[k])
             if t is None:
                 continue
-            a_new = sum(cs["nr"] * cs["nc"] for cs in t["stats"])
-            n_new = sum(cs["eidx"].size for cs in t["stats"])
-            new_rho = (N - st.asm_n + n_new) / (S - st.asm_area + a_new)
-            if new_rho > rho:
-                accepted = (pos, k, t)
+            _, eidx, nr, nc = leaves[k]
+            a_new = sum(cnr * cnc for _, _, cnr, cnc in t[2])
+            n_new = sum(ce.size for _, ce, _, _ in t[2])
+            if (N - eidx.size + n_new) / (S - nr * nc + a_new) > N / S:
                 break
-        if accepted is None:
+        else:
             break
-        pos, k, t = accepted
-        st = states[k]
-        node = st.node
-        node.row_border, node.col_border = t["rb"], t["cb"]
-        new_states = []
-        for ci, (ch, cs) in enumerate(zip(t["children"], t["stats"])):
-            child = BBDFNode(ch.rows, ch.cols, path=node.path + (ci,))
-            node.children.append(child)
-            new_states.append(_LeafState(child, cs["eidx"], cs["nr"], cs["nc"]))
-        states = states[:k] + new_states + states[k + 1:]
+        node = leaves[k][0]
+        node.row_border, node.col_border, kids = splits.pop(node.path)
+        node.children = [kid[0] for kid in kids]
+        leaves[k:k + 1] = kids
         rounds.append(pos)
         if on_round is not None:
-            on_round(len(states))
+            on_round(len(leaves))
 
     tree = BBDFTree(root, "balanced", seed, target_density, matrix=m,
                     rounds=rounds)

@@ -5,6 +5,7 @@ documented process exit codes: 2 for input/format problems, 3 for numeric
 divergence, 4 for degenerate inputs that make an operation undefined.
 """
 
+import contextlib
 import json
 
 
@@ -59,6 +60,17 @@ class ShapeError(LMFError):
     """Dimension mismatch between two objects that must agree."""
 
     exit_code = 2
+
+
+@contextlib.contextmanager
+def error_context(prefix):
+    """Prefix the message of an :class:`LMFError` escaping the block with
+    ``prefix``, so the message names where it happened."""
+    try:
+        yield
+    except LMFError as exc:
+        exc.args = (f"{prefix} {exc.args[0] if exc.args else ''}",)
+        raise
 
 
 def require_keys(doc, keys, where):

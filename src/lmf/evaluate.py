@@ -14,6 +14,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -21,19 +22,20 @@ from .bbdf import PERMUTE_MODES, _permute
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    LMFError,
     ShapeError,
     UndefinedMetricError,
+    error_context,
 )
 from .factorize import (
     FactorizerSpec,
     _dots,
+    _is_number,
     factorize,
     spec_from_dict,
     spec_to_dict,
 )
 from .matrix import RatingMatrix, load_ratings
-from .model import UNCOVERED, fallback_biases, lmf_fit
+from .model import UNCOVERED, _check_uncovered, fallback_biases, lmf_fit
 
 
 def rmse(truth, pred):
@@ -82,10 +84,11 @@ class FoldPlan:
 
 def kfold_split(m, k, seed=0):
     """Stratified per-user fold plan; deterministic for a fixed seed."""
-    if k < 2:
-        raise ConfigError("need at least 2 folds")
-    if seed < 0:
-        raise ConfigError(f"fold seed must be non-negative, got {seed}")
+    if not (_is_number(k, Integral) and k >= 2):
+        raise ConfigError(f"need an integer of at least 2 folds, got {k!r}")
+    if not (_is_number(seed, Integral) and seed >= 0):
+        raise ConfigError(f"fold seed must be a non-negative integer, got "
+                          f"{seed!r}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(m.nnz, dtype=np.int64)
     short_users = 0
@@ -134,24 +137,18 @@ class EvalReport:
 
 
 @contextlib.contextmanager
-def _stage(name, fold):
-    """Tag errors escaping a benchmark stage with where they happened."""
-    try:
+def _stage(name, fold, times):
+    """Tag errors escaping a benchmark stage with where they happened, and
+    append the stage's wall time to ``times[name]``."""
+    t0 = time.perf_counter()
+    with error_context(f"[{name}, fold {fold}]"):
         yield
-    except LMFError as exc:
-        msg = exc.args[0] if exc.args else ""
-        exc.args = (f"[{name}, fold {fold}] {msg}",)
-        raise
+    times.setdefault(name, []).append(time.perf_counter() - t0)
 
 
 def _spec_from_config(config):
     names = {f.name for f in fields(FactorizerSpec)}
     return spec_from_dict({k: v for k, v in config.items() if k in names})
-
-
-def _predict_baseline(pair, I, J, clamp):
-    p = _dots(pair.U, pair.V, I, J)
-    return np.clip(p, clamp[0], clamp[1])
 
 
 def run_benchmark(config):
@@ -178,126 +175,95 @@ def run_benchmark(config):
     folds = config.get("folds", 5)
     seed = config.get("seed", 0)
     threads = config.get("threads", 1)
+    uncovered = config.get("uncovered", UNCOVERED[0])
+    _check_uncovered(uncovered)
     spec = _spec_from_config(config)
     clamp = m.value_range()
     plan = kfold_split(m, folds, seed)
 
-    run_lmf = mode in ("lmf", "both")
-    run_base = mode in ("baseline", "both")
+    # the arms ``mode`` selects, lmf first; the first one's fallbacks count
+    arms = [arm for arm in ("lmf", "baseline") if mode in (arm, "both")]
     permute_mode = config.get("permute_mode", next(iter(PERMUTE_MODES)))
     target = config.get("target_density")
     shared_trees = config.get("trees")
     if shared_trees is not None and len(shared_trees) != folds:
         raise ConfigError("trees must supply one reordering per fold")
-    if run_lmf and target is None and shared_trees is None:
+    if "lmf" in arms and target is None and shared_trees is None:
         raise ConfigError("lmf mode needs a target_density")
 
-    truth_all, lmf_pred_all, base_pred_all = [], [], []
-    fold_rmse_lmf, fold_rmse_base = [], []
-    times = {"permute": [], "fit": [], "predict": [], "stitch": [],
-             "baseline_fit": [], "baseline_predict": []}
-    stats = {"blocks": [], "block_densities": [], "fchr": [],
-             "assembled_density": []}
+    times, stats = {}, {}
+
+    def lmf_arm(fold, m_tr, I, J):
+        with _stage("permute", fold, times):
+            tree = (shared_trees[fold] if shared_trees is not None
+                    else _permute(m_tr, permute_mode, target, seed=seed))
+        with _stage("fit", fold, times):
+            model = lmf_fit(tree, m_tr, spec, threads=threads,
+                            uncovered=uncovered)
+        area = sum(b.area for b in model.blocks)
+        nnz = sum(b.nnz for b in model.blocks)
+        for key, value in (
+                ("blocks", model.n_blocks),
+                ("block_densities", [b.density for b in model.blocks]),
+                ("fchr", fchr(tree.rounds) if tree.rounds else None),
+                ("assembled_density", nnz / area if area else 0.0)):
+            column = stats.setdefault(key, [])
+            if value is not None:
+                column.append(value)
+        with _stage("predict", fold, times):
+            return model.predict_many(I, J)
+
+    def baseline_arm(fold, m_tr, I, J):
+        with _stage("baseline_fit", fold, times):
+            pair = factorize(m_tr, spec)
+        with _stage("baseline_predict", fold, times):
+            pred = np.clip(_dots(pair.U, pair.V, I, J), clamp[0], clamp[1])
+        return pred, np.ones(I.size, dtype=bool)
+
+    run_arm = {"lmf": lmf_arm, "baseline": baseline_arm}
+    truth_all = []
+    preds = {arm: [] for arm in arms}
+    fold_rmse = {arm: [] for arm in arms}
     fallback_n = 0
-    dump_rows = []
 
     for fold in range(folds):
         m_tr = plan.train_matrix(m, fold)
         te = plan.test_indices(fold)
         I, J, X = m.rows[te], m.cols[te], m.vals[te]
         truth_all.append(X)
-        seen_row = m_tr.row_counts() > 0
-        seen_col = m_tr.col_counts() > 0
-        unseen = ~(seen_row[I] & seen_col[J])
-
-        if run_lmf:
-            t0 = time.perf_counter()
-            with _stage("permute", fold):
-                if shared_trees is not None:
-                    tree = shared_trees[fold]
-                else:
-                    tree = _permute(m_tr, permute_mode, target, seed=seed)
-                if tree.rounds:
-                    stats["fchr"].append(fchr(tree.rounds))
-            times["permute"].append(time.perf_counter() - t0)
-
-            with _stage("fit", fold):
-                model = lmf_fit(tree, m_tr, spec, threads=threads,
-                                uncovered=config.get("uncovered", UNCOVERED[0]))
-            times["fit"].append(model.timings["fit_wall"])
-            times["stitch"].append(model.timings["stitch_wall"])
-            stats["blocks"].append(model.n_blocks)
-            dens = [b.density for b in model.blocks]
-            stats["block_densities"].append(dens)
-            area = sum(b.area for b in model.blocks)
-            nnz = sum(b.nnz for b in model.blocks)
-            stats["assembled_density"].append(nnz / area if area else 0.0)
-
-            t0 = time.perf_counter()
-            with _stage("predict", fold):
-                pred, covered = model.predict_many(I, J)
-                mu, bu, bi = model.mu, model.b_user, model.b_item
-                pred = np.where(unseen,
-                                np.clip(mu + bu[I] + bi[J], clamp[0], clamp[1]),
-                                pred)
-            times["predict"].append(time.perf_counter() - t0)
-            fallback_n += int((unseen | ~covered).sum())
-            lmf_pred_all.append(pred)
-            fold_rmse_lmf.append(rmse(X, pred))
-
-        if run_base:
-            t0 = time.perf_counter()
-            with _stage("baseline-fit", fold):
-                pair = factorize(m_tr, spec)
-            times["baseline_fit"].append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            pred = _predict_baseline(pair, I, J, clamp)
-            mu, bu, bi = fallback_biases(m_tr)
-            pred = np.where(unseen,
-                            np.clip(mu + bu[I] + bi[J], clamp[0], clamp[1]),
-                            pred)
-            times["baseline_predict"].append(time.perf_counter() - t0)
-            if not run_lmf:
-                fallback_n += int(unseen.sum())
-            base_pred_all.append(pred)
-            fold_rmse_base.append(rmse(X, pred))
-
-        if config.get("dump_predictions"):
-            main_pred = lmf_pred_all[-1] if run_lmf else base_pred_all[-1]
-            for i, j, x, p in zip(I, J, X, main_pred):
-                dump_rows.append((m.row_labels[i], m.col_labels[j],
-                                  float(x), float(p)))
+        unseen = ~((m_tr.row_counts() > 0)[I] & (m_tr.col_counts() > 0)[J])
+        mu, bu, bi = fallback_biases(m_tr)
+        bias = np.clip(mu + bu[I] + bi[J], clamp[0], clamp[1])
+        for arm in arms:
+            pred, covered = run_arm[arm](fold, m_tr, I, J)
+            if arm == arms[0]:
+                fallback_n += int((unseen | ~covered).sum())
+            preds[arm].append(np.where(unseen, bias, pred))
+            fold_rmse[arm].append(rmse(X, preds[arm][-1]))
 
     truth = np.concatenate(truth_all)
-    n_test = truth.size
     extra = {}
-    if run_lmf:
-        pooled_lmf = rmse(truth, np.concatenate(lmf_pred_all))
-        extra["lmf_rmse"] = pooled_lmf
-        extra["lmf_fold_rmse"] = fold_rmse_lmf
-    if run_base:
-        pooled_base = rmse(truth, np.concatenate(base_pred_all))
-        extra["baseline_rmse"] = pooled_base
-        extra["baseline_fold_rmse"] = fold_rmse_base
+    for arm in arms:
+        extra[f"{arm}_rmse"] = rmse(truth, np.concatenate(preds[arm]))
+        extra[f"{arm}_fold_rmse"] = fold_rmse[arm]
     if mode == "both":
-        base_time = float(np.sum(times["baseline_fit"]))
-        lmf_time = float(np.sum(times["permute"]) + np.sum(times["fit"])
-                         + np.sum(times["stitch"]))
-        extra["speedup"] = base_time / lmf_time if lmf_time > 0 else float("inf")
-
-    main = pooled_lmf if run_lmf else pooled_base
-    main_folds = fold_rmse_lmf if run_lmf else fold_rmse_base
+        lmf_time = sum(times["permute"]) + sum(times["fit"])
+        extra["speedup"] = (sum(times["baseline_fit"]) / lmf_time
+                            if lmf_time > 0 else float("inf"))
 
     if config.get("dump_predictions"):
+        te = np.concatenate([plan.test_indices(f) for f in range(folds)])
         with open(config["dump_predictions"], "w", encoding="utf-8") as fh:
-            for u, it, x, p in dump_rows:
-                fh.write(f"{u}\t{it}\t{x:.6f}\t{p:.10f}\n")
+            for i, j, x, p in zip(m.rows[te], m.cols[te], truth,
+                                  np.concatenate(preds[arms[0]])):
+                fh.write(f"{m.row_labels[i]}\t{m.col_labels[j]}\t{x:.6f}\t"
+                         f"{p:.10f}\n")
 
     return EvalReport(
-        rmse=main,
-        fold_rmse=main_folds,
-        fallback_fraction=fallback_n / n_test if n_test else 0.0,
-        wall_times={k: v for k, v in times.items() if v},
+        rmse=extra[f"{arms[0]}_rmse"],
+        fold_rmse=fold_rmse[arms[0]],
+        fallback_fraction=fallback_n / truth.size if truth.size else 0.0,
+        wall_times=times,
         block_stats={k: v for k, v in stats.items() if v},
         spec=spec_to_dict(spec),
         mode=mode,

@@ -1,5 +1,9 @@
 """Sparse rating-matrix core: immutable storage, permutations, submatrix
-views, and the density calculus that drives every reordering decision.
+views, and the paper's density definitions (``density``, ``avg_density``,
+``restricted_density``). The reorderings keep running entry counts of
+their own instead of calling those; the definitions are public for
+analysing a reordering and are what the tests state the paper's density
+claims with.
 
 A matrix is kept as a coordinate list canonically sorted by (row, col),
 plus two adjacency indices (by row and by column) so that per-vector

@@ -20,13 +20,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .bbdf import BBDFTree, assemble_blocks, assembled_indices, _derive_seed
-from .errors import ConfigError, LMFError, MissingLabelsError, ShapeError, \
-    read_json
+from .errors import ConfigError, MissingLabelsError, ShapeError, \
+    error_context, read_json
 from .factorize import (
     FactorPair,
     _chunk_rows,
@@ -44,6 +44,12 @@ _BIAS_DAMPING = 25.0
 # how a cell that no block covers is predicted (see LMFModel.predict_many);
 # the first is the default
 UNCOVERED = ("bias", "cross")
+
+
+def _check_uncovered(uncovered):
+    if uncovered not in UNCOVERED:
+        raise ConfigError(f"uncovered must be one of {UNCOVERED}, got "
+                          f"{uncovered!r}")
 
 
 def _finite(value):
@@ -73,9 +79,7 @@ class LMFModel:
         if len(pairs) != len(self.block_rows):
             raise ShapeError(f"{len(pairs)} factor pairs for a tree with "
                              f"{len(self.block_rows)} leaves")
-        if uncovered not in UNCOVERED:
-            raise ConfigError(f"uncovered must be one of {UNCOVERED}, got "
-                              f"{uncovered!r}")
+        _check_uncovered(uncovered)
         self.tree = tree
         self.pairs = pairs
         self.mu = mu
@@ -266,13 +270,6 @@ class LMFModel:
                    uncovered=uncovered)
 
 
-def _tag_block_error(exc, block_id):
-    exc.block_id = block_id
-    msg = exc.args[0] if exc.args else ""
-    exc.args = (f"block {block_id}: {msg}",)
-    return exc
-
-
 # numpy's bundled OpenBLAS exports the 64-bit-integer name, scipy's (which
 # runs the LAPACK solves) the 32-bit one; a system OpenBLAS exports one of
 # the others
@@ -326,6 +323,9 @@ def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
     the result is identical for any thread count. Fallback biases are
     computed from all training entries.
     """
+    _check_uncovered(uncovered)
+    if not (_is_number(threads, Integral) and threads >= 1):
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     spec.validate()
     blocks = assemble_blocks(tree, m)
 
@@ -347,19 +347,14 @@ def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
           if workers > 1 else contextlib.nullcontext()) as pool:
         results = (pool.map if pool else map)(_fit_one_block, jobs)
         for k in order:
-            try:
+            with error_context(f"block {k}:"):
                 pairs[k] = next(results)
-            except LMFError as exc:
-                raise _tag_block_error(exc, k) from exc
     fit_wall = time.perf_counter() - t_fit
 
-    t_stitch = time.perf_counter()
     mu, b_u, b_i = fallback_biases(m)
-    return LMFModel(
-        tree, pairs, mu, b_u, b_i, spec, m.value_range(), blocks=blocks,
-        timings={"fit_wall": fit_wall,
-                 "stitch_wall": time.perf_counter() - t_stitch},
-        uncovered=uncovered)
+    return LMFModel(tree, pairs, mu, b_u, b_i, spec, m.value_range(),
+                    blocks=blocks, timings={"fit_wall": fit_wall},
+                    uncovered=uncovered)
 
 
 def coverage_count(model, i, j):

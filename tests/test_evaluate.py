@@ -202,6 +202,46 @@ def test_benchmark_rejects_bad_mode_and_missing_density():
         run_benchmark(cfg)
 
 
+def test_benchmark_reports_one_time_per_stage_and_fold():
+    m = _bench_matrix()
+    report = run_benchmark(_config(m))
+    times = report.wall_times
+    assert list(times) == ["permute", "fit", "predict", "baseline_fit",
+                           "baseline_predict"]
+    assert all(len(v) == 3 and min(v) >= 0 for v in times.values())
+    assert report.extra["speedup"] == sum(times["baseline_fit"]) / (
+        sum(times["permute"]) + sum(times["fit"]))
+
+
+def test_benchmark_rejects_unknown_uncovered_policy_before_permuting(
+        monkeypatch):
+    import lmf.evaluate
+    from lmf.errors import ConfigError
+
+    def no_permute(*args, **kwargs):
+        raise AssertionError("a fold was reordered")
+
+    monkeypatch.setattr(lmf.evaluate, "_permute", no_permute)
+    with pytest.raises(ConfigError, match="'near'"):
+        run_benchmark(_config(_bench_matrix(), uncovered="near"))
+
+
+@pytest.mark.parametrize("key, value", [("folds", "2"), ("seed", "1"),
+                                        ("seed", True), ("threads", "2"),
+                                        ("target_density", "0.4")])
+def test_cli_bench_config_value_of_the_wrong_type_exits_2(tmp_path, capsys,
+                                                          key, value):
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    doc = {"input": str(data), "algorithm": "svd_als", "mode": "both",
+           "target_density": 0.4, "folds": 2, "seed": 1, "r": 2,
+           "max_iters": 2, "threads": 1, key: value}
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(doc))
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    assert repr(value) in capsys.readouterr().err
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 def _write_ratings_file(path, m):

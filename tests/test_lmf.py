@@ -502,6 +502,21 @@ def test_block_error_tagged_with_block_id():
         assert "block" in str(err.value)
 
 
+@pytest.mark.parametrize("kwargs", [{"uncovered": "near"}, {"threads": 0},
+                                    {"threads": 1.5}, {"threads": "2"},
+                                    {"threads": True}])
+def test_fit_rejects_bad_settings_before_fitting_a_block(monkeypatch, kwargs):
+    from lmf.errors import ConfigError
+
+    def no_fit(*args, **kw):
+        raise AssertionError("a block was fitted")
+
+    monkeypatch.setattr(model_module, "factorize", no_fit)
+    m = bordered_matrix(np.random.default_rng(14))
+    with pytest.raises(ConfigError):
+        lmf_fit(bordered_tree(m), m, SPEC, **kwargs)
+
+
 def test_fit_rejects_mismatched_matrix():
     rng = np.random.default_rng(12)
     m = planted_blocks(rng, [(6, 6)], 0.5)
