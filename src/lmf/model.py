@@ -283,7 +283,13 @@ def _single_blas_thread():
     """Pool initializer: run every loaded OpenBLAS with one thread, so the
     workers split the cores between them instead of each claiming all of
     them. numpy has no API for this; a platform without ``/proc/self/maps``
-    or a library without a known setter keeps its threads."""
+    or a library without a known setter keeps its threads.
+
+    In a forked worker the setter restarts the library's thread pool (the
+    fork stopped it), and its new threads would spin-wait for about 2**28
+    cycles (0.1 s at 2 GHz) on the cores the fit needs. They are stopped
+    again at once, with the call OpenBLAS itself makes before a fork; at
+    one thread the library never starts them again."""
     try:
         with open("/proc/self/maps", "rb") as fh:
             paths = {os.fsdecode(line.split(maxsplit=5)[-1].strip())
@@ -301,6 +307,10 @@ def _single_blas_thread():
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
                 setter(1)
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if stop is not None:
+                    stop.restype = ctypes.c_int
+                    stop()
                 break
 
 

@@ -308,6 +308,21 @@ def test_pool_workers_run_one_blas_thread():
     assert _openblas_threads() == before
 
 
+def _thread_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+def test_pool_workers_start_no_blas_threads():
+    # setting the count restarts OpenBLAS's thread pool in a forked worker,
+    # whose threads would spin on the cores the fit needs; the initializer
+    # stops them, so the worker runs its own thread only
+    if not (os.path.exists("/proc/self/maps") and _openblas_threads()):
+        pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it")
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=_single_blas_thread) as pool:
+        assert pool.submit(_thread_count).result(timeout=60) == 1
+
+
 @pytest.mark.parametrize("cut", [3, 8])  # mid-value, and whole values lost
 def test_load_rejects_truncated_biases(tmp_path, cut):
     rng = np.random.default_rng(9)
