@@ -85,15 +85,15 @@ class BBDFTree:
     def __init__(self, root, mode, seed, target_density, matrix=None,
                  n_rows=None, n_cols=None, row_ids=None, col_ids=None,
                  rounds=None):
+        if matrix is not None:  # its shape and labels; the tree keeps no link
+            n_rows, n_cols = matrix.shape
+            row_ids, col_ids = list(matrix.row_labels), list(matrix.col_labels)
         self.root = root
         self.mode = mode
         self.seed = seed
         self.target_density = target_density
-        self.matrix = matrix
-        self.n_rows = matrix.n_rows if matrix is not None else n_rows
-        self.n_cols = matrix.n_cols if matrix is not None else n_cols
-        self.row_ids = list(matrix.row_labels) if matrix is not None else row_ids
-        self.col_ids = list(matrix.col_labels) if matrix is not None else col_ids
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.row_ids, self.col_ids = row_ids, col_ids
         self.rounds = rounds
 
     def leaves(self):
@@ -640,15 +640,25 @@ def assembled_indices(tree):
     yield from walk(tree.root, [], [])
 
 
-def assemble_blocks(tree, m=None):
-    """One assembled block per leaf, over the indices of
-    :func:`assembled_indices`. Dropped scatter entries are excluded from
-    the assembled entry sets."""
-    m = m if m is not None else tree.matrix
-    if m is None:
-        raise ShapeError("tree carries no matrix; pass one explicitly")
-    if m.n_rows != tree.n_rows or m.n_cols != tree.n_cols:
-        raise ShapeError("matrix dimensions do not match the tree")
+def _check_matrix(tree, m):
+    """Raise :class:`ShapeError` unless ``m`` has the shape of ``tree`` and,
+    on each axis the tree labels, the same labels in the same order."""
+    if m.shape != (tree.n_rows, tree.n_cols):
+        raise ShapeError(f"the matrix is {m.n_rows}x{m.n_cols}, the tree "
+                         f"{tree.n_rows}x{tree.n_cols}")
+    for axis, labels, ids in (("row", m.row_labels, tree.row_ids),
+                              ("col", m.col_labels, tree.col_ids)):
+        if ids is not None and labels != ids:
+            raise ShapeError(f"the matrix {axis} labels differ from the "
+                             "tree's")
+
+
+def assemble_blocks(tree, m):
+    """One assembled block of ``m`` per leaf of ``tree``, over the indices
+    of :func:`assembled_indices`. Dropped scatter entries are excluded from
+    the assembled entry sets. A matrix that does not fit the tree raises
+    :class:`ShapeError`."""
+    _check_matrix(tree, m)
 
     dropped = tree.dropped_entries()
     dkeys = dropped[:, 0] * m.n_cols + dropped[:, 1] if dropped.size else None
@@ -749,7 +759,7 @@ def community_tree(m, communities):
 
 # -- structural validation ------------------------------------------------------------
 
-def check_tree(tree, m=None):
+def check_tree(tree, m):
     """Assert the structural invariants of a reordering tree.
 
     Checks, per node: children plus border partition the node's index
@@ -758,9 +768,7 @@ def check_tree(tree, m=None):
     Also verifies conservation: leaf-interior + border-touching + dropped
     entry counts add up to the total. Returns the bucket counts.
     """
-    m = m if m is not None else tree.matrix
-    if m is None:
-        raise ShapeError("tree carries no matrix; pass one explicitly")
+    _check_matrix(tree, m)
 
     def assert_partition(whole, parts, what):
         cat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

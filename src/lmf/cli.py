@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from .bbdf import PERMUTE_MODES, BBDFNode, BBDFTree, _permute, \
     assemble_blocks
-from .errors import LMFError, RatingFormatError, ShapeError, read_json
-from .evaluate import EvalReport, format_report, kfold_split, rmse, \
+from .errors import LMFError, read_json
+from .evaluate import EvalReport, fchr, format_report, kfold_split, rmse, \
     run_benchmark
 from .factorize import FactorizerSpec
 from .matrix import _records, load_ratings
@@ -37,13 +36,6 @@ _SPEC_FLAGS = (
     ("--margin-c", "margin_c", float),
     ("--learning-rate", "learning_rate", float),
     ("--iters", "max_iters", int), ("--tol", "convergence_tol", float))
-
-
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("LMF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_ratings(path, m, indices):
@@ -81,26 +73,20 @@ def cmd_permute(args):
 def cmd_analyze(args):
     tree = BBDFTree.load(args.tree)
     if args.input:
-        m = load_ratings(args.input)
-        if m.row_labels != tree.row_ids or m.col_labels != tree.col_ids:
-            raise ShapeError("input does not match the matrix the tree was built on")
-        blocks = assemble_blocks(tree, m)
-        total_n = total_a = 0
+        blocks = assemble_blocks(tree, load_ratings(args.input))
         for k, b in enumerate(blocks):
-            leaf = b.origin
-            print(f"leaf {k}: rows={leaf.rows.size} cols={leaf.cols.size} "
+            print(f"leaf {k}: rows={b.origin.rows.size} "
+                  f"cols={b.origin.cols.size} "
                   f"assembled={b.rows.size}x{b.cols.size} "
                   f"entries={b.nnz} density={b.density:.4f}")
-            total_n += b.nnz
-            total_a += b.area
-        pooled = total_n / total_a if total_a else 0.0
+        area = sum(b.area for b in blocks)
+        pooled = sum(b.nnz for b in blocks) / area if area else 0.0
         print(f"pooled assembled density: {pooled:.4f}")
     else:
         for k, leaf in enumerate(tree.leaves()):
             print(f"leaf {k}: rows={leaf.rows.size} cols={leaf.cols.size}")
     if tree.rounds:
-        hits = sum(1 for p in tree.rounds if p == 0)
-        print(f"FCHR: {hits / len(tree.rounds):.4f} over {len(tree.rounds)} rounds")
+        print(f"FCHR: {fchr(tree.rounds):.4f} over {len(tree.rounds)} rounds")
     dropped = tree.dropped_entries()
     print(f"mode={tree.mode} leaves={len(tree.leaves())} dropped={dropped.shape[0]}")
     return 0
@@ -110,9 +96,6 @@ def cmd_fit(args):
     m = load_ratings(args.input)
     if args.tree:
         tree = BBDFTree.load(args.tree)
-        if m.row_labels != tree.row_ids or m.col_labels != tree.col_ids:
-            raise ShapeError("input does not match the matrix the tree was built on")
-        tree.matrix = m
     else:
         root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols))
         tree = BBDFTree(root, "bbdf", args.seed, 1.0, matrix=m)
@@ -147,27 +130,17 @@ def cmd_predict(args):
 
 def cmd_eval(args):
     model = LMFModel.load(args.model)
-    users, items, truth = [], [], []
-    for lineno, (user, item, raw, *_) in _records(args.test, 3):
-        try:
-            x = float(raw)
-        except ValueError:
-            raise RatingFormatError(args.test, lineno,
-                                    f"rating {raw!r} is not numeric") from None
-        if not math.isfinite(x):
-            raise RatingFormatError(args.test, lineno,
-                                    f"non-finite rating {raw!r}")
-        users.append(user)
-        items.append(item)
-        truth.append(x)
-    pred, covered = model.predict_labels(users, items)
-    score = rmse(truth, pred)
+    test = load_ratings(args.test)
+    pred, covered = model.predict_labels(
+        [test.row_labels[i] for i in test.rows],
+        [test.col_labels[j] for j in test.cols])
+    score = rmse(test.vals, pred)
     report = EvalReport(
         rmse=score, fold_rmse=[score],
         fallback_fraction=float((~covered).mean()),
         wall_times={}, block_stats={"blocks": [model.n_blocks]},
         spec={"algorithm": model.spec.algorithm, "r": model.spec.r},
-        mode="eval", extra={"n_test": len(truth)})
+        mode="eval", extra={"n_test": test.nnz})
     print(report.to_json(indent=2))
     return 0
 
@@ -210,7 +183,7 @@ def build_parser():
     p.add_argument("--algo", choices=sorted(_ALGO_NAMES), required=True)
     for flag, name, kind in _SPEC_FLAGS:
         p.add_argument(flag, dest=name, type=kind)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--uncovered", choices=UNCOVERED, default=UNCOVERED[0])
     p.add_argument("--out", required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -163,6 +164,8 @@ def run_benchmark(config):
     per fold so several runs over the same folds can share the permute
     work. Test pairs whose user or item has no training entry are served
     by the damped bias fallback and counted in ``fallback_fraction``.
+    ``dump_predictions``, a path, receives one ``user item rating
+    prediction`` line per test entry, in fold order.
     """
     mode = config.get("mode", "both")
     if mode not in ("baseline", "lmf", "both"):
@@ -177,6 +180,9 @@ def run_benchmark(config):
     threads = config.get("threads", 1)
     uncovered = config.get("uncovered", UNCOVERED[0])
     _check_uncovered(uncovered)
+    dump = config.get("dump_predictions")
+    if dump is not None and not isinstance(dump, (str, os.PathLike)):
+        raise ConfigError(f"dump_predictions must be a path, got {dump!r}")
     spec = _spec_from_config(config)
     clamp = m.value_range()
     plan = kfold_split(m, folds, seed)
@@ -251,9 +257,9 @@ def run_benchmark(config):
         extra["speedup"] = (sum(times["baseline_fit"]) / lmf_time
                             if lmf_time > 0 else float("inf"))
 
-    if config.get("dump_predictions"):
+    if dump:
         te = np.concatenate([plan.test_indices(f) for f in range(folds)])
-        with open(config["dump_predictions"], "w", encoding="utf-8") as fh:
+        with open(dump, "w", encoding="utf-8") as fh:
             for i, j, x, p in zip(m.rows[te], m.cols[te], truth,
                                   np.concatenate(preds[arms[0]])):
                 fh.write(f"{m.row_labels[i]}\t{m.col_labels[j]}\t{x:.6f}\t"

@@ -371,7 +371,9 @@ def load_ratings(path):
     Each record line holds ``user_id item_id rating [timestamp]`` separated
     by tabs or runs of spaces; a trailing timestamp field is ignored and
     lines starting with ``#`` are comments. Opaque ids are mapped to dense
-    indices in first-appearance order and kept as labels.
+    indices in first-appearance order and kept as labels. A short line, a
+    rating that is not a finite number, a repeated pair or bytes that are
+    not UTF-8 raise an :class:`LMFError` naming the file and line.
     """
     row_ids: dict[str, int] = {}
     col_ids: dict[str, int] = {}
@@ -397,8 +399,16 @@ def load_ratings(path):
 
     if not rows:
         raise EmptyInputError(f"{path}: no rating records found")
-
-    return RatingMatrix(
-        len(row_ids), len(col_ids), rows, cols, vals,
-        row_labels=list(row_ids), col_labels=list(col_ids),
-    )
+    try:
+        return RatingMatrix(
+            len(row_ids), len(col_ids), rows, cols, vals,
+            row_labels=list(row_ids), col_labels=list(col_ids),
+        )
+    except RatingFormatError:
+        # the matrix found a non-finite rating; only now look for its line
+        for lineno, (user, item, raw, *_) in _records(path, 3):
+            if not np.isfinite(float(raw)):
+                raise RatingFormatError(
+                    path, lineno, f"non-finite rating {raw!r} for user "
+                    f"{user!r}, item {item!r}") from None
+        raise

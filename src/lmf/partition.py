@@ -221,7 +221,8 @@ def _grow_from_seed(level, seed_node, cap, total_w):
 
 
 def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
-    """Boundary Fiduccia-Mattheyses refinement of ``side``, in place.
+    """Boundary Fiduccia-Mattheyses refinement of ``side``, in place;
+    returns the ``(cut, imbalance)`` of the side it leaves.
 
     Each move takes the unlocked eligible node of largest gain, lowest
     index on ties; a node is eligible if it is on the boundary when the
@@ -314,11 +315,12 @@ def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
         side[undo] = 1 - side[undo]
         if best_k == 0:
             break
-    return side
+    return best_cut, best_imb
 
 
 def _initial_bisection(level, tol, rng, grown):
-    """The best of the grow-and-refine bisections from a few seed nodes.
+    """The ``((cut, imbalance), side)`` of the best of the grow-and-refine
+    bisections from a few seed nodes.
 
     ``grown`` maps a seed node to its ``((cut, imbalance), side)``, or to
     None when growth swallowed the graph; it is filled here and may carry
@@ -344,23 +346,22 @@ def _initial_bisection(level, tol, rng, grown):
             if (side == 0).all() or (side == 1).all():
                 grown[s] = None
                 continue
-            side = _fm_refine(level, side, tol)
-            cut = _cut_value(level, side)
-            imb = abs(int(level.vwgt[side == 0].sum()) - int(level.vwgt[side == 1].sum()))
-            grown[s] = ((cut, imb), side.copy())
+            grown[s] = (_fm_refine(level, side, tol), side)
         if grown[s] is not None and (best is None or grown[s][0] < best[0]):
             best = grown[s]
     if best is None:
         # every growth swallowed the graph; fall back to lowest-index split
         side = np.ones(n, dtype=np.int8)
         side[0] = 0
-        return side
-    return best[1]
+        w0 = int(level.vwgt[0])
+        return (_cut_value(level, side), abs(total_w - 2 * w0)), side
+    return best
 
 
 def _bisect_once(level0, tol, rng, grown):
-    """One multilevel bisection; ``grown`` is :func:`_initial_bisection`'s
-    cache for ``level0``, used only when ``level0`` is not coarsened."""
+    """One multilevel bisection of ``level0`` as ``((cut, imbalance),
+    side)``; ``grown`` is :func:`_initial_bisection`'s cache for
+    ``level0``, used only when ``level0`` is not coarsened."""
     levels = [level0]
     cmaps = []
     while levels[-1].n > COARSE_TARGET:
@@ -369,12 +370,12 @@ def _bisect_once(level0, tol, rng, grown):
             break
         levels.append(coarse)
         cmaps.append(cmap)
-    side = _initial_bisection(levels[-1], tol, rng,
-                              grown if len(levels) == 1 else {})
+    key, side = _initial_bisection(levels[-1], tol, rng,
+                                   grown if len(levels) == 1 else {})
     for level, cmap in zip(reversed(levels[:-1]), reversed(cmaps)):
         side = side[cmap]
-        side = _fm_refine(level, side, tol)
-    return side
+        key = _fm_refine(level, side, tol)
+    return key, side
 
 
 def _bisect_nodes(level0, tol, seed):
@@ -388,11 +389,7 @@ def _bisect_nodes(level0, tol, seed):
     best = None
     grown = {}
     for _ in range(_BISECT_TRIES):
-        side = _bisect_once(level0, tol, rng, grown)
-        cut = _cut_value(level0, side)
-        imb = abs(int(level0.vwgt[side == 0].sum())
-                  - int(level0.vwgt[side == 1].sum()))
-        key = (cut, imb)
+        key, side = _bisect_once(level0, tol, rng, grown)
         if best is None or key < best[0]:
             best = (key, side)
     return best[1]

@@ -21,7 +21,7 @@ from lmf import (
     improve_density,
     permutation_from_tree,
 )
-from lmf.errors import DegenerateBlockError, NoSplitError
+from lmf.errors import DegenerateBlockError, NoSplitError, ShapeError
 
 from conftest import block_diag_matrix, figure_bridge_matrix, planted_blocks
 
@@ -399,12 +399,33 @@ def test_assemble_single_leaf_is_whole_matrix():
     m = planted_blocks(rng, [(8, 9)], 0.4)
     root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols))
     tree = BBDFTree(root, "bbdf", 0, 1.0, matrix=m)
-    blocks = assemble_blocks(tree)
+    blocks = assemble_blocks(tree, m)
     assert len(blocks) == 1
     b = blocks[0]
     assert b.rows.tolist() == list(range(m.n_rows))
     assert b.cols.tolist() == list(range(m.n_cols))
     assert b.matrix == m
+
+
+def test_assemble_blocks_and_check_tree_check_the_matrix_against_the_tree():
+    rng = np.random.default_rng(21)
+    m = planted_blocks(rng, [(8, 9)], 0.4)
+    root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols))
+    labelled = BBDFTree(root, "bbdf", 0, 1.0, matrix=m)
+    assert not hasattr(labelled, "matrix")
+    renamed = RatingMatrix(m.n_rows, m.n_cols, m.rows, m.cols, m.vals,
+                           col_labels=[f"i{j}" for j in range(m.n_cols)])
+    taller = RatingMatrix(m.n_rows + 1, m.n_cols, m.rows, m.cols, m.vals)
+    for check in (assemble_blocks, check_tree):
+        with pytest.raises(ShapeError, match="col labels"):
+            check(labelled, renamed)
+        with pytest.raises(ShapeError, match="9x9, the tree 8x9"):
+            check(labelled, taller)
+    # a tree without labels is checked by shape only
+    bare = BBDFTree(root, "bbdf", 0, 1.0, n_rows=m.n_rows, n_cols=m.n_cols)
+    assert assemble_blocks(bare, renamed)[0].matrix == m
+    with pytest.raises(ShapeError, match="9x9, the tree 8x9"):
+        assemble_blocks(bare, taller)
 
 
 def _nested_two_level_tree(m):
@@ -446,7 +467,7 @@ def test_assemble_two_level_stitching():
     m = _nested_matrix(rng)
     tree = _nested_two_level_tree(m)
     check_tree(tree, m)
-    blocks = assemble_blocks(tree)
+    blocks = assemble_blocks(tree, m)
     assert len(blocks) == 3
     by_leaf = {tuple(b.origin.rows.tolist()): b for b in blocks}
     # deepest leaf stitches its own indices, then the nearer border, then
@@ -465,7 +486,7 @@ def test_assemble_root_border_cell_covered_by_every_leaf():
     rng = np.random.default_rng(18)
     m = _nested_matrix(rng)
     tree = _nested_two_level_tree(m)
-    blocks = assemble_blocks(tree)
+    blocks = assemble_blocks(tree, m)
     covering = [b for b in blocks
                 if 8 in b.rows.tolist() and 8 in b.cols.tolist()]
     assert len(covering) == len(blocks) == 3
@@ -476,7 +497,7 @@ def test_assemble_excludes_dropped_entries():
     tree = abbdf_permute(m, 1.0, seed=0)
     dropped = set(map(tuple, tree.dropped_entries().tolist()))
     assert dropped
-    for b in assemble_blocks(tree):
+    for b in assemble_blocks(tree, m):
         cells = {(int(b.rows[i]), int(b.cols[j]))
                  for i, j in zip(b.matrix.rows, b.matrix.cols)}
         assert not (cells & dropped)
@@ -529,7 +550,7 @@ def test_factorize_accepts_assembled_block():
     rng = np.random.default_rng(41)
     m = planted_blocks(rng, [(8, 9), (7, 8)], 0.5, bridge_rows=1)
     tree = bbdf_permute(m, 0.9, seed=1)
-    block = assemble_blocks(tree)[0]
+    block = assemble_blocks(tree, m)[0]
     pair = factorize(block, FactorizerSpec(algorithm="svd_als", r=2,
                                            reg=0.01, max_iters=20, seed=0))
     assert pair.U.shape == (block.rows.size, 2)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -363,11 +364,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     nan_rating.write_text("u0 i1 4\nu0 i2 nan\n")
     word_rating = tmp_path / "word_rating.tsv"
     word_rating.write_text("u0 i1 4\nu0 i2 five\n")
+    repeated_pair = tmp_path / "repeated_pair.tsv"
+    repeated_pair.write_text("u0 i1 4\nu0 i1 3\n")
     capsys.readouterr()
     assert cli_main(["predict", "--model", str(model),
                      "--pairs", str(short_pair)]) == 2
     assert f"{short_pair}:2:" in capsys.readouterr().err
-    for bad_test in (short_rating, nan_rating, word_rating):
+    for bad_test in (short_rating, nan_rating, word_rating, repeated_pair):
         assert cli_main(["eval", "--model", str(model),
                          "--test", str(bad_test)]) == 2
         assert f"{bad_test}:2:" in capsys.readouterr().err
@@ -532,13 +535,99 @@ def test_predict_many_empty_input():
     assert preds.size == 0 and covered.size == 0
 
 
-def test_cli_env_thread_default(monkeypatch):
-    from lmf.cli import _default_threads
+@pytest.mark.parametrize("command", ["split", "permute", "fit", "bench",
+                                     "eval"])
+def test_cli_non_finite_rating_names_file_and_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("u0 i0 4\nu1 i0 -inf\n")
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"input": str(bad), "algorithm": "svd_als",
+                                  "mode": "baseline", "folds": 2}))
+    model = tmp_path / "model"
+    if command == "eval":
+        good = tmp_path / "good.tsv"
+        _write_ratings_file(good, _bench_matrix())
+        assert cli_main(["fit", "--input", str(good), "--algo", "svd",
+                         "--factors", "2", "--iters", "2",
+                         "--out", str(model)]) == 0
+    argv = {"split": ["--input", str(bad), "--out", str(tmp_path / "f")],
+            "permute": ["--input", str(bad), "--target-density", "0.5",
+                        "--out", str(tmp_path / "t.json")],
+            "fit": ["--input", str(bad), "--algo", "svd",
+                    "--out", str(model)],
+            "bench": ["--config", str(config)],
+            "eval": ["--model", str(model), "--test", str(bad)]}[command]
+    capsys.readouterr()
+    assert cli_main([command, *argv]) == 2
+    assert f"{bad}:2: non-finite rating '-inf'" in capsys.readouterr().err
 
-    monkeypatch.setenv("LMF_THREADS", "7")
-    assert _default_threads() == 7
-    monkeypatch.setenv("LMF_THREADS", "junk")
-    assert _default_threads() == 1
+
+def test_cli_analyze_reports_the_library_figures(tmp_path, capsys):
+    from lmf import BBDFTree, assemble_blocks, load_ratings
+
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    treep = tmp_path / "tree.json"
+    assert cli_main(["permute", "--input", str(data), "--target-density",
+                     "0.4", "--seed", "1", "--out", str(treep)]) == 0
+    tree, m = BBDFTree.load(treep), load_ratings(data)
+    assert tree.rounds
+    blocks = assemble_blocks(tree, m)
+    pooled = sum(b.nnz for b in blocks) / sum(b.area for b in blocks)
+    capsys.readouterr()
+    assert cli_main(["analyze", "--tree", str(treep),
+                     "--input", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert f"pooled assembled density: {pooled:.4f}\n" in out
+    assert (f"FCHR: {fchr(tree.rounds):.4f} over {len(tree.rounds)} "
+            "rounds\n") in out
+
+
+def test_cli_analyze_and_fit_reject_a_tree_of_another_log(tmp_path, capsys):
+    m = _bench_matrix()
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, m)
+    # the same entries under other labels: same shape, labels differ
+    relabelled = tmp_path / "relabelled.tsv"
+    relabelled.write_text(data.read_text().replace("u", "v"))
+    treep = tmp_path / "tree.json"
+    assert cli_main(["permute", "--input", str(relabelled),
+                     "--target-density", "0.4", "--out", str(treep)]) == 0
+    capsys.readouterr()
+    for argv in (["analyze", "--tree", str(treep), "--input", str(data)],
+                 ["fit", "--input", str(data), "--tree", str(treep),
+                  "--algo", "svd", "--out", str(tmp_path / "m")]):
+        assert cli_main(argv) == 2
+        assert "row labels differ" in capsys.readouterr().err
+
+
+def test_bench_rejects_a_dump_target_that_is_not_a_path(tmp_path, capfd,
+                                                        monkeypatch):
+    import lmf.evaluate
+    from lmf.errors import ConfigError
+
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"input": str(data), "algorithm": "svd_als",
+                                  "mode": "baseline", "folds": 2, "r": 2,
+                                  "max_iters": 2, "dump_predictions": 1}))
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    os.write(1, b"stdout still open\n")
+    out, err = capfd.readouterr()
+    assert "dump_predictions" in err and out == "stdout still open\n"
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("the folds were split")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lmf.evaluate, "kfold_split", no_split)
+        with pytest.raises(ConfigError, match="dump_predictions"):
+            run_benchmark(_config(_bench_matrix(), dump_predictions=2))
+    dump = tmp_path / "preds.tsv"  # a path object is a path too
+    run_benchmark(_config(_bench_matrix(), mode="baseline", folds=2,
+                          max_iters=2, dump_predictions=dump))
+    assert len(dump.read_text().splitlines()) == _bench_matrix().nnz
 
 
 # -- one family of input errors ----------------------------------------------------

@@ -1,4 +1,5 @@
 import ctypes
+import inspect
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -579,3 +580,54 @@ def test_public_surface():
         "run_benchmark", "save_factors", "to_bipartite",
     ]
     assert all(getattr(lmf, name, None) is not None for name in lmf.__all__)
+
+    # and so does a parameter added to or removed from a public callable
+    params = {name: " ".join(inspect.signature(getattr(lmf, name)).parameters)
+              for name in lmf.__all__ if name != "LMFError"}
+    assert params == {
+        "AssembledBlock": "rows cols matrix origin",
+        "BBDFNode": "rows cols path",
+        "BBDFTree": "root mode seed target_density matrix n_rows n_cols "
+                    "row_ids col_ids rounds",
+        "BipartiteGraph": "n_r n_c edge_r edge_c xadj adjncy",
+        "EdgePartition": "parts cut_edges",
+        "EvalReport": "rmse fold_rmse fallback_fraction wall_times "
+                      "block_stats spec mode extra",
+        "FactorPair": "U V thresholds final_objective history",
+        "FactorizerSpec": "algorithm r reg reg_user reg_item margin_c "
+                          "learning_rate max_iters convergence_tol seed levels",
+        "FoldPlan": "n_folds seed assignment",
+        "IndexPermutation": "row_perm col_perm",
+        "LMFModel": "tree pairs mu b_user b_item spec value_range blocks "
+                    "timings uncovered",
+        "RatingMatrix": "n_rows n_cols rows cols vals row_labels col_labels",
+        "SubmatrixView": "matrix rows cols",
+        "VertexPartition": "parts separator",
+        "abbdf_permute": "m target_density seed",
+        "apply_permutation": "m p",
+        "assemble_blocks": "tree m",
+        "avg_density": "views",
+        "balanced_permute": "m target_density seed on_round",
+        "basic_bbdf_step": "view seed",
+        "bbdf_permute": "m target_density seed",
+        "check_tree": "tree m",
+        "community_tree": "m communities",
+        "coverage_count": "model i j",
+        "density": "view",
+        "factorize": "m spec init sample_order iterate_hook",
+        "fchr": "rounds",
+        "gpes_bisect": "g balance_tol seed",
+        "gpvs_bisect": "g balance_tol seed",
+        "improve_density": "children target",
+        "kfold_split": "m k seed",
+        "lmf_fit": "tree m spec threads uncovered",
+        "load_factors": "path",
+        "load_ratings": "path",
+        "objective_value": "m pair spec",
+        "permutation_from_tree": "tree",
+        "restricted_density": "block axis index",
+        "rmse": "truth pred",
+        "run_benchmark": "config",
+        "save_factors": "path pair spec",
+        "to_bipartite": "m",
+    }

@@ -63,10 +63,11 @@ def test_load_malformed_line_reports_lineno(tmp_path):
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_load_non_finite_rating_rejected(tmp_path, raw):
     p = tmp_path / "r.tsv"
-    p.write_text(f"a b 5\nc d {raw}\n")
+    p.write_text(f"a b 5\n# note\n\nc d {raw} 881250949\ne f 3\n")
     with pytest.raises(RatingFormatError) as err:
         load_ratings(p)
-    assert err.value.exit_code == 2
+    assert err.value.exit_code == 2 and err.value.lineno == 4
+    assert str(err.value).startswith(f"{p}:4: ")
     assert "'c'" in str(err.value) and "'d'" in str(err.value)
 
 

@@ -451,17 +451,28 @@ def _dense_fm_cases(seed, count):
             yield level, _start_side(rng, level), float(rng.choice([0.05, 0.2, 0.5]))
 
 
+def _refine(level, side, tol):
+    """``_fm_refine`` on a copy of ``side``: the refined side, once the
+    ``(cut, imbalance)`` it returns equals ``_cut_value`` and the weight
+    sums of the side it left."""
+    out = side.copy()
+    cut, imb = partition._fm_refine(level, out, tol)
+    w0, w1 = (int(level.vwgt[out == k].sum()) for k in (0, 1))
+    assert (cut, imb) == (_cut_value(level, out), abs(w0 - w1))
+    return out
+
+
 def _fm_kernel(monkeypatch, level, side, tol, dense):
-    """``_fm_refine`` with the heap kernel or the masked one forced."""
+    """:func:`_refine` with the heap kernel or the masked one forced."""
     monkeypatch.setattr(partition, "FM_DENSE_DEGREE", 0 if dense else np.inf)
-    return partition._fm_refine(level, side.copy(), tol)
+    return _refine(level, side, tol)
 
 
 def test_fm_refine_equals_numpy_reference_when_unbounded(monkeypatch):
     monkeypatch.setattr(partition, "_FM_STALL", 10 ** 9)
     for level, side, tol in _fm_cases(31, 30):
         want = _fm_reference(level, side.copy(), tol)
-        got = partition._fm_refine(level, side.copy(), tol)
+        got = _refine(level, side, tol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -507,7 +518,7 @@ def test_fm_kernel_choice_at_the_mean_degree_threshold(monkeypatch, stall):
         side, tol = _start_side(rng, level), 0.2
         monkeypatch.setattr(partition, "FM_DENSE_DEGREE", threshold)
         pops.clear()
-        got = partition._fm_refine(level, side.copy(), tol)
+        got = _refine(level, side, tol)
         assert bool(pops) == bool(trial % 2)
         heap = _fm_kernel(monkeypatch, level, side, tol, dense=False)
         masked = _fm_kernel(monkeypatch, level, side, tol, dense=True)
@@ -522,12 +533,28 @@ def test_fm_refine_bounded_never_worsens_cut_or_balance(monkeypatch, stall):
     monkeypatch.setattr(partition, "_FM_STALL", stall)
     for level, side, tol in _fm_cases(47, 20):
         before = _cut_value(level, side)
-        out = partition._fm_refine(level, side.copy(), tol)
+        out = _refine(level, side, tol)
         cap = _part_cap(int(level.vwgt.sum()), level.vwgt.max(), tol)
         assert _cut_value(level, out) <= before
         for k in (0, 1):
             assert (out == k).any()
             assert int(level.vwgt[out == k].sum()) <= cap
+
+
+def test_initial_bisection_fallback_reports_its_cut_and_imbalance():
+    """A heavy isolated node that no seed draws makes every growth swallow
+    the graph; the fallback split's ``(cut, imbalance)`` is that of its
+    side."""
+    level = _level_from_graph(graph(5, 5, [(0, 0), (1, 0), (1, 1), (2, 1),
+                                           (2, 2), (3, 2), (3, 3), (4, 3)]))
+    level.vwgt[9] = 100
+    grown = {}
+    key, side = partition._initial_bisection(level, 0.2,
+                                             np.random.default_rng(0), grown)
+    assert 9 not in grown and set(grown.values()) == {None}
+    assert side.tolist() == [0] + [1] * 9
+    w0, w1 = (int(level.vwgt[side == k].sum()) for k in (0, 1))
+    assert key == (_cut_value(level, side), abs(w0 - w1)) == (1, 107)
 
 
 def test_fm_kernel_choice_leaves_bisections_and_trees_unchanged(monkeypatch):
