@@ -190,9 +190,7 @@ class BBDFTree:
             return node
 
         root = decode(doc["root"], ())
-        if not (root.rows.size == n_rows and root.cols.size == n_cols
-                and np.array_equal(np.sort(root.rows), np.arange(n_rows))
-                and np.array_equal(np.sort(root.cols), np.arange(n_cols))):
+        if not _governs(root, n_rows, n_cols):
             raise ShapeError("tree root must govern the full index ranges")
         return cls(root, doc["mode"], doc["seed"], doc["target_density"],
                    n_rows=n_rows, n_cols=n_cols, row_ids=doc.get("row_ids"),
@@ -244,6 +242,13 @@ def _distinct(labels):
         return len(set(labels)) == len(labels)
     except TypeError:  # a list or an object as a label
         return False
+
+
+def _governs(root, n_rows, n_cols):
+    """Whether ``root`` holds every row below ``n_rows`` and every column
+    below ``n_cols`` once."""
+    return (np.array_equal(np.sort(root.rows), np.arange(n_rows))
+            and np.array_equal(np.sort(root.cols), np.arange(n_cols)))
 
 
 def _splits(node, own, border):
@@ -322,14 +327,20 @@ def _child_tags(parts, n_rows, n_cols):
     return rowtag, coltag
 
 
+def _entry_parts(parts, m, eidx):
+    """Per entry ``eidx`` of ``m``, the position in ``parts`` of the part
+    holding its row and its column; -1 where no part holds one of them (a
+    border), and -2 where two different parts hold them."""
+    rowtag, coltag = _child_tags(parts, m.n_rows, m.n_cols)
+    tr, tc = rowtag[m.rows[eidx]], coltag[m.cols[eidx]]
+    return np.where((tr < 0) | (tc < 0), -1, np.where(tr == tc, tr, -2))
+
+
 def _cross_entries(parts, m, eidx):
     """The entries ``eidx`` of ``m`` whose row and column lie in two
     different ``parts``, as ``(row, col)`` pairs."""
-    rowtag, coltag = _child_tags(parts, m.n_rows, m.n_cols)
-    er, ec = m.rows[eidx], m.cols[eidx]
-    tr, tc = rowtag[er], coltag[ec]
-    cross = (tr >= 0) & (tc >= 0) & (tr != tc)
-    return np.stack([er[cross], ec[cross]], axis=1)
+    cross = eidx[_entry_parts(parts, m, eidx) == -2]
+    return np.stack([m.rows[cross], m.cols[cross]], axis=1)
 
 
 def basic_bbdf_step(view, seed=0):
@@ -656,20 +667,13 @@ def _check_matrix(tree, m):
 def assemble_blocks(tree, m):
     """One assembled block of ``m`` per leaf of ``tree``, over the indices
     of :func:`assembled_indices`. Dropped scatter entries are excluded from
-    the assembled entry sets. A matrix that does not fit the tree raises
-    :class:`ShapeError`."""
-    _check_matrix(tree, m)
-
-    dropped = tree.dropped_entries()
-    dkeys = dropped[:, 0] * m.n_cols + dropped[:, 1] if dropped.size else None
-
+    the assembled entry sets. A matrix or a tree that fails
+    :func:`check_tree` raises :class:`ShapeError`."""
+    dropped, _ = _audit(tree, m)
     blocks = []
     for leaf, rows, cols in assembled_indices(tree):
-        view = SubmatrixView(m, rows, cols)
-        eidx = view.entry_indices()
-        if dkeys is not None and eidx.size:
-            keys = m.rows[eidx] * m.n_cols + m.cols[eidx]
-            eidx = eidx[~np.isin(keys, dkeys)]
+        eidx = SubmatrixView(m, rows, cols).entry_indices()
+        eidx = eidx[~dropped[eidx]]
         local = RatingMatrix(
             rows.size, cols.size,
             _positions(rows, m.n_rows)[m.rows[eidx]],
@@ -752,7 +756,7 @@ def community_tree(m, communities):
     for i, ch in enumerate(children):
         root.children.append(BBDFNode(ch.rows, ch.cols, path=(i,)))
 
-    root.dropped = _cross_entries(root.children, m, slice(None))
+    root.dropped = _cross_entries(root.children, m, np.arange(m.nnz))
 
     return BBDFTree(root, "abbdf", 0, 1.0, matrix=m)
 
@@ -760,70 +764,82 @@ def community_tree(m, communities):
 # -- structural validation ------------------------------------------------------------
 
 def check_tree(tree, m):
-    """Assert the structural invariants of a reordering tree.
+    """Check ``tree`` against ``m`` and count where the entries of ``m``
+    go: ``leaf`` (inside a leaf block), ``border`` (on some border) and
+    ``dropped``, which add up to ``m.nnz``, plus the number of ``leaves``.
 
-    Checks, per node: children plus border partition the node's index
-    sets; entries joining two different children appear in the node's
-    dropped list exactly (and only approximate mode may drop anything).
-    Also verifies conservation: leaf-interior + border-touching + dropped
-    entry counts add up to the total. Returns the bucket counts.
+    Raises :class:`ShapeError`, naming the node path, unless ``m`` fits the
+    tree's shape and labels, the root holds every row and column once, at
+    each inner node the children and the borders split the node's rows and
+    columns and the entries joining two children are the node's dropped
+    list, each pair once (an exact-mode tree drops none), and no leaf has
+    borders or dropped entries.
     """
+    return _audit(tree, m)[1]
+
+
+def _audit(tree, m):
+    """:func:`check_tree`'s check; returns the mask of dropped entries over
+    ``m`` and the counts."""
     _check_matrix(tree, m)
-
-    def assert_partition(whole, parts, what):
-        cat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        assert np.unique(cat).size == cat.size, f"{what}: overlapping pieces"
-        assert set(cat.tolist()) == set(whole.tolist()), f"{what}: not a partition"
-
+    if not _governs(tree.root, m.n_rows, m.n_cols):
+        raise ShapeError("tree node []: the root does not hold every row "
+                         "and column once")
     exact = tree.mode in ("bbdf", "balanced")
+    dropped = np.zeros(m.nnz, dtype=bool)
+    counts = {"leaf": 0, "border": 0, "dropped": 0, "leaves": 0}
 
-    def walk(node, eidx):
+    def name(r, c=None):
+        """A pair by its labels; one argument is a key ``r * n_cols + c``."""
+        if c is None:
+            r, c = divmod(int(r), m.n_cols)
+        if 0 <= r < m.n_rows and 0 <= c < m.n_cols:
+            return repr((m.row_labels[r], m.col_labels[c]))
+        return f"(row {r}, col {c})"
+
+    def walk(node, path, eidx):
+        where = f"tree node {list(path)}"
         if node.is_leaf:
-            assert node.dropped.size == 0, "leaf with dropped entries"
-            assert node.row_border.size == 0 and node.col_border.size == 0, \
-                "leaf with borders"
+            if len(node.row_border) or len(node.col_border) \
+                    or len(node.dropped):
+                raise ShapeError(f"{where}: a leaf has borders or dropped "
+                                 "entries")
+            counts["leaf"] += eidx.size
+            counts["leaves"] += 1
             return
-        assert_partition(node.rows,
-                         [c.rows for c in node.children] + [node.row_border],
-                         "rows")
-        assert_partition(node.cols,
-                         [c.cols for c in node.children] + [node.col_border],
-                         "cols")
-        rowtag, coltag = _child_tags(node.children, m.n_rows, m.n_cols)
-        er, ec = m.rows[eidx], m.cols[eidx]
-        tr, tc = rowtag[er], coltag[ec]
-        cross = (tr >= 0) & (tc >= 0) & (tr != tc)
-        crossing = set(zip(er[cross].tolist(), ec[cross].tolist()))
-        declared = set(map(tuple, node.dropped.tolist()))
-        if exact:
-            assert not crossing, "zero-structure violated in exact mode"
-            assert not declared, "dropped entries in exact mode"
-        else:
-            assert crossing == declared, \
-                "dropped list does not match cross-child entries"
+        if not (_splits(node, "rows", "row_border")
+                and _splits(node, "cols", "col_border")):
+            raise ShapeError(f"{where}: children and borders do not split "
+                             "the node's rows and columns")
+        tag = _entry_parts(node.children, m, eidx)
+        cross = eidx[tag == -2]
+        keys = m.rows[cross] * m.n_cols + m.cols[cross]
+        if exact and keys.size:
+            raise ShapeError(f"{where}: {keys.size} entries join two children "
+                             f"of an exact-mode tree, e.g. {name(keys[0])}")
+        listed = np.reshape(node.dropped, (-1, 2))
+        lkeys = np.where(((listed >= 0) & (listed < m.shape)).all(axis=1),
+                         listed[:, 0] * m.n_cols + listed[:, 1], -1)
+        missing = keys[~np.isin(keys, lkeys)]
+        if missing.size:
+            raise ShapeError(f"{where}: {missing.size} entries join two "
+                             "children but are not in the dropped list, e.g. "
+                             f"{name(missing[0])}")
+        extra = listed[~np.isin(lkeys, keys)]
+        if extra.size:
+            raise ShapeError(f"{where}: {len(extra)} pairs in the dropped "
+                             "list do not join two children, e.g. "
+                             f"{name(*extra[0])}")
+        if lkeys.size > keys.size:  # all listed pairs join two children
+            twice = np.sort(lkeys)
+            raise ShapeError(f"{where}: the dropped list names "
+                             f"{name(twice[1:][twice[1:] == twice[:-1]][0])} "
+                             "twice")
+        dropped[cross] = True
+        counts["dropped"] += cross.size
+        counts["border"] += int((tag == -1).sum())
         for ci, ch in enumerate(node.children):
-            inside = (tr == ci) & (tc == ci)
-            walk(ch, eidx[inside])
+            walk(ch, path + (ci,), eidx[tag == ci])
 
-    walk(tree.root, np.arange(m.nnz, dtype=np.int64))
-
-    # conservation over the whole matrix
-    dropped = tree.dropped_entries()
-    assert np.unique(dropped[:, 0] * m.n_cols + dropped[:, 1]).size == \
-        dropped.shape[0], "an entry is dropped twice"
-    leaf_rowtag, leaf_coltag = _child_tags(tree.leaves(), m.n_rows, m.n_cols)
-    dmask = np.zeros(m.nnz, dtype=bool)
-    if dropped.size:
-        keys = m.rows * m.n_cols + m.cols
-        dmask = np.isin(keys, dropped[:, 0] * m.n_cols + dropped[:, 1])
-    tr, tc = leaf_rowtag[m.rows], leaf_coltag[m.cols]
-    border_touch = (tr < 0) | (tc < 0)
-    n_dropped = int(dmask.sum())
-    n_border = int((border_touch & ~dmask).sum())
-    interior = ~border_touch & ~dmask
-    assert (tr[interior] == tc[interior]).all(), \
-        "an undropped entry straddles two leaves"
-    n_leaf = int(interior.sum())
-    assert n_leaf + n_border + n_dropped == m.nnz, "entry conservation failed"
-    return {"leaf": n_leaf, "border": n_border, "dropped": n_dropped,
-            "leaves": len(tree.leaves())}
+    walk(tree.root, (), np.arange(m.nnz, dtype=np.int64))
+    return dropped, counts

@@ -99,11 +99,15 @@ class LMFModel:
         return len(self.pairs)
 
     def _covering(self, I, J):
-        """Range-check the index arrays; then, per block, its factor pair,
-        the mask of pairs it covers and the local row and col positions
-        (-1 where the block lacks the index)."""
+        """Check that the index arrays are 1-D, of equal length and in
+        range; then, per block, its factor pair, the mask of pairs it covers
+        and the local row and col positions (-1 where the block lacks the
+        index)."""
         I = np.asarray(I, dtype=np.int64)
         J = np.asarray(J, dtype=np.int64)
+        if I.ndim != 1 or I.shape != J.shape:
+            raise ShapeError(f"need two 1-D index arrays of equal length, "
+                             f"got shapes {I.shape} and {J.shape}")
         if I.size and (I.min() < 0 or I.max() >= self.tree.n_rows
                        or J.min() < 0 or J.max() >= self.tree.n_cols):
             raise ShapeError("index out of range")
@@ -178,11 +182,14 @@ class LMFModel:
         A pair with a label the training matrix did not have gets ``mu``
         plus the bias of whichever label is known, clamped; its ``covered``
         flag is False. Returns ``(pred, covered)`` in input order. Raises
-        :class:`MissingLabelsError` when the tree has no labels.
+        :class:`MissingLabelsError` when the tree has no labels, and
+        :class:`ShapeError` when ``users`` and ``items`` differ in length.
         """
         if self.tree.row_ids is None or self.tree.col_ids is None:
             raise MissingLabelsError("the model's tree has no row or column "
                                      "labels to predict by")
+        if len(users) != len(items):
+            raise ShapeError(f"{len(users)} users for {len(items)} items")
         rmap = {lab: i for i, lab in enumerate(self.tree.row_ids)}
         cmap = {lab: j for j, lab in enumerate(self.tree.col_ids)}
         I = np.array([rmap.get(u, -1) for u in users], dtype=np.int64)
@@ -331,13 +338,18 @@ def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
     block count; each worker runs BLAS with one thread. Each block trains
     under a seed derived from the spec seed and the block's position, so
     the result is identical for any thread count. Fallback biases are
-    computed from all training entries.
+    computed from all training entries. The model's tree has the labels of
+    ``m``, whether or not ``tree`` has them.
     """
     _check_uncovered(uncovered)
     if not (_is_number(threads, Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     spec.validate()
     blocks = assemble_blocks(tree, m)
+    # the model predicts by label, so its tree takes the labels of ``m``,
+    # which has just passed the tree's check
+    tree = BBDFTree(tree.root, tree.mode, tree.seed, tree.target_density,
+                    matrix=m, rounds=tree.rounds)
 
     if spec.algorithm == "mmmf_fast" and spec.levels is None:
         # every block must share the full matrix's ordinal level set

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (
     breadth_first_order,
-    connected_components,
     maximum_bipartite_matching,
 )
 
@@ -395,65 +394,6 @@ def _bisect_nodes(level0, tol, seed):
     return best[1]
 
 
-# -- verification helpers -----------------------------------------------------
-
-def _component_labels(n_nodes, edge_u, edge_v, node_keep=None, edge_keep=None):
-    if edge_keep is not None:
-        edge_u, edge_v = edge_u[edge_keep], edge_v[edge_keep]
-    if node_keep is not None:
-        ok = node_keep[edge_u] & node_keep[edge_v]
-        edge_u, edge_v = edge_u[ok], edge_v[ok]
-    data = np.ones(edge_u.size, dtype=np.int8)
-    adj = csr_matrix((data, (edge_u, edge_v)), shape=(n_nodes, n_nodes))
-    _, labels = connected_components(adj, directed=False)
-    return labels
-
-
-def _groups_are_pure(labels, tags, keep=None):
-    """True when every label group carries a single tag value."""
-    if keep is not None:
-        labels, tags = labels[keep], tags[keep]
-    if labels.size == 0:
-        return True
-    uniq, first = np.unique(labels, return_index=True)
-    inv = np.searchsorted(uniq, labels)
-    return bool((tags == tags[first][inv]).all())
-
-
-def _verify_edge_partition(g, part):
-    side = np.full(g.n_nodes, -1, dtype=np.int64)
-    for k, p in enumerate(part.parts):
-        assert p.size > 0, "empty part"
-        assert (side[p] == -1).all(), "parts overlap"
-        side[p] = k
-    assert (side >= 0).all(), "parts do not cover all nodes"
-    crossing = side[g.edge_r] != side[g.edge_c]
-    expect = np.stack([g.edge_r[crossing], g.edge_c[crossing]], axis=1) \
-        if crossing.any() else np.empty((0, 2), dtype=np.int64)
-    got = part.cut_edges
-    assert got.shape == expect.shape, "cut_edges != crossing edges"
-    if got.size:
-        eo = np.lexsort((expect[:, 1], expect[:, 0]))
-        go = np.lexsort((got[:, 1], got[:, 0]))
-        assert np.array_equal(expect[eo], got[go]), "cut_edges != crossing edges"
-    labels = _component_labels(g.n_nodes, g.edge_r, g.edge_c, edge_keep=~crossing)
-    assert _groups_are_pure(labels, side), "a component spans two parts"
-
-
-def _verify_vertex_partition(g, part):
-    tag = np.full(g.n_nodes, -1, dtype=np.int64)
-    for k, p in enumerate(part.parts):
-        assert p.size > 0, "empty part"
-        assert (tag[p] == -1).all(), "parts overlap"
-        tag[p] = k
-    assert (tag[part.separator] == -1).all(), "separator intersects a part"
-    tag[part.separator] = -2
-    assert (tag != -1).all(), "parts + separator must cover all nodes"
-    keep = tag != -2
-    labels = _component_labels(g.n_nodes, g.edge_r, g.edge_c, node_keep=keep)
-    assert _groups_are_pure(labels, tag, keep=keep), "a component spans two parts"
-
-
 # -- minimum vertex cover -----------------------------------------------------
 
 def _min_vertex_cover(B):
@@ -495,10 +435,7 @@ def gpes_bisect(g, balance_tol=0.2, seed=0):
     crossing = side[g.edge_r] != side[g.edge_c]
     cut_edges = np.stack([g.edge_r[crossing], g.edge_c[crossing]], axis=1) \
         if crossing.any() else np.empty((0, 2), dtype=np.int64)
-    part = EdgePartition(parts, cut_edges)
-    if __debug__:
-        _verify_edge_partition(g, part)
-    return part
+    return EdgePartition(parts, cut_edges)
 
 
 def gpvs_bisect(g, balance_tol=0.2, seed=0):
@@ -538,10 +475,7 @@ def gpvs_bisect(g, balance_tol=0.2, seed=0):
 
     parts = [np.nonzero(tag == 0)[0], np.nonzero(tag == 1)[0]]
     separator = np.nonzero(tag == -2)[0]
-    part = VertexPartition(parts, separator)
-    if __debug__:
-        _verify_vertex_partition(g, part)
-    return part
+    return VertexPartition(parts, separator)
 
 
 def _refine_separator(g, tag):

@@ -1,8 +1,14 @@
+import functools
 import os
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+import lmf
+import lmf.bbdf
+import lmf.partition
 from lmf import RatingMatrix
 
 ML100K_ENV = "LMF_ML100K"
@@ -142,3 +148,90 @@ def block_diag_matrix(rng, block_shapes, density=0.6, values=(1, 6),
         row_off += nr
         col_off += nc
     return RatingMatrix(row_off, col_off, rows, cols, vals)
+
+
+# -- partition self-checks ------------------------------------------------------
+#
+# Every ``gpvs_bisect`` and ``gpes_bisect`` call made while the tests run is
+# verified: the names are wrapped in every module that binds them when this
+# file is imported, before any test module imports them. The checks raise
+# ``AssertionError`` explicitly, so ``python -O`` does not strip them.
+
+def _require(ok, what):
+    if not ok:
+        raise AssertionError(what)
+
+
+def _component_labels(n_nodes, edge_u, edge_v, node_keep=None, edge_keep=None):
+    if edge_keep is not None:
+        edge_u, edge_v = edge_u[edge_keep], edge_v[edge_keep]
+    if node_keep is not None:
+        ok = node_keep[edge_u] & node_keep[edge_v]
+        edge_u, edge_v = edge_u[ok], edge_v[ok]
+    data = np.ones(edge_u.size, dtype=np.int8)
+    adj = csr_matrix((data, (edge_u, edge_v)), shape=(n_nodes, n_nodes))
+    _, labels = connected_components(adj, directed=False)
+    return labels
+
+
+def _groups_are_pure(labels, tags, keep=None):
+    """True when every label group carries a single tag value."""
+    if keep is not None:
+        labels, tags = labels[keep], tags[keep]
+    if labels.size == 0:
+        return True
+    uniq, first = np.unique(labels, return_index=True)
+    inv = np.searchsorted(uniq, labels)
+    return bool((tags == tags[first][inv]).all())
+
+
+def _verify_edge_partition(g, part):
+    side = np.full(g.n_nodes, -1, dtype=np.int64)
+    for k, p in enumerate(part.parts):
+        _require(p.size > 0, "empty part")
+        _require((side[p] == -1).all(), "parts overlap")
+        side[p] = k
+    _require((side >= 0).all(), "parts do not cover all nodes")
+    crossing = side[g.edge_r] != side[g.edge_c]
+    expect = np.stack([g.edge_r[crossing], g.edge_c[crossing]], axis=1) \
+        if crossing.any() else np.empty((0, 2), dtype=np.int64)
+    got = part.cut_edges
+    _require(got.shape == expect.shape, "cut_edges != crossing edges")
+    if got.size:
+        eo = np.lexsort((expect[:, 1], expect[:, 0]))
+        go = np.lexsort((got[:, 1], got[:, 0]))
+        _require(np.array_equal(expect[eo], got[go]),
+                 "cut_edges != crossing edges")
+    labels = _component_labels(g.n_nodes, g.edge_r, g.edge_c, edge_keep=~crossing)
+    _require(_groups_are_pure(labels, side), "a component spans two parts")
+
+
+def _verify_vertex_partition(g, part):
+    tag = np.full(g.n_nodes, -1, dtype=np.int64)
+    for k, p in enumerate(part.parts):
+        _require(p.size > 0, "empty part")
+        _require((tag[p] == -1).all(), "parts overlap")
+        tag[p] = k
+    _require((tag[part.separator] == -1).all(), "separator intersects a part")
+    tag[part.separator] = -2
+    _require((tag != -1).all(), "parts + separator must cover all nodes")
+    keep = tag != -2
+    labels = _component_labels(g.n_nodes, g.edge_r, g.edge_c, node_keep=keep)
+    _require(_groups_are_pure(labels, tag, keep=keep),
+             "a component spans two parts")
+
+
+def _verified(bisect, verify):
+    @functools.wraps(bisect)
+    def checked(g, *args, **kwargs):
+        part = bisect(g, *args, **kwargs)
+        verify(g, part)
+        return part
+    return checked
+
+
+for _name, _verify in (("gpvs_bisect", _verify_vertex_partition),
+                       ("gpes_bisect", _verify_edge_partition)):
+    _checked = _verified(getattr(lmf.partition, _name), _verify)
+    for _owner in (lmf, lmf.partition, lmf.bbdf):
+        setattr(_owner, _name, _checked)

@@ -302,8 +302,8 @@ def test_criterion_05_structural_fuzzing():
         counts = check_tree(approx, m)
         assert counts["leaf"] + counts["border"] + counts["dropped"] == m.nnz
 
-        # explicit separator verification by component search (the
-        # partitioner also self-verifies on every internal call)
+        # explicit separator verification by component search (conftest.py
+        # also verifies every partition the tests make)
         try:
             part = gpvs_bisect(to_bipartite(m), 0.2, seed=trial)
         except (NoSplitError, TooSmallError):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -405,6 +408,126 @@ def test_assemble_single_leaf_is_whole_matrix():
     assert b.rows.tolist() == list(range(m.n_rows))
     assert b.cols.tolist() == list(range(m.n_cols))
     assert b.matrix == m
+
+
+
+# A 6x6 matrix and an exact tree over it. The root has border row 5 and
+# border col 5; child [0] is the leaf rows {0, 1} x cols {0, 1}; child [1]
+# covers rows {2, 3, 4} x cols {2, 3, 4}, has border row 4 and splits into
+# the leaves [1, 0] = {2} x {2} and [1, 1] = {3} x {3, 4}.
+_AUDIT_PAIRS = [(0, 0), (0, 1), (1, 1), (2, 2), (3, 3), (3, 4), (4, 2),
+                (4, 4), (5, 0), (5, 3), (0, 5), (2, 5)]
+_CROSS = (2, 3)  # joins the two children of node [1]
+
+
+def _audit_matrix(*extra):
+    pairs = _AUDIT_PAIRS + list(extra)
+    return RatingMatrix(6, 6, [p[0] for p in pairs], [p[1] for p in pairs],
+                        np.arange(1.0, len(pairs) + 1),
+                        row_labels=[f"u{i}" for i in range(6)],
+                        col_labels=[f"i{j}" for j in range(6)])
+
+
+def _node(rows, cols, children=(), rb=(), cb=(), dropped=()):
+    node = BBDFNode(rows, cols)
+    node.children = list(children)
+    node.row_border = np.asarray(rb, dtype=np.int64)
+    node.col_border = np.asarray(cb, dtype=np.int64)
+    node.dropped = np.asarray(dropped, dtype=np.int64).reshape(-1, 2)
+    return node
+
+
+def _audit_tree(m, mode="bbdf", root_rows=range(6), leaf10=(), leaf11=None,
+                inner_dropped=()):
+    """The tree described above; ``leaf10`` is a col border given to leaf
+    [1, 0], ``leaf11`` replaces that leaf's rows and cols."""
+    leaf11 = leaf11 or ([3], [3, 4])
+    inner = _node([2, 3, 4], [2, 3, 4],
+                  [_node([2], [2], cb=leaf10), _node(*leaf11)], rb=[4],
+                  dropped=inner_dropped)
+    root = _node(list(root_rows), range(6),
+                 [_node([0, 1], [0, 1]), inner], rb=[5], cb=[5])
+    return BBDFTree(root, mode, 0, 1.0, matrix=m)
+
+
+def test_check_tree_counts_where_each_entry_goes():
+    m = _audit_matrix()
+    assert check_tree(_audit_tree(m), m) == \
+        {"leaf": 6, "border": 6, "dropped": 0, "leaves": 3}
+    m = _audit_matrix(_CROSS)
+    tree = _audit_tree(m, mode="abbdf", inner_dropped=[_CROSS])
+    assert check_tree(tree, m) == \
+        {"leaf": 6, "border": 6, "dropped": 1, "leaves": 3}
+    assembled = {(b.rows[i], b.cols[j]) for b in assemble_blocks(tree, m)
+                 for i, j in zip(b.matrix.rows, b.matrix.cols)}
+    assert assembled == set(_AUDIT_PAIRS)
+
+
+@pytest.mark.parametrize("extra, tree_kw, message", [
+    ((), {"leaf11": ([2, 3], [3, 4])},
+     r"tree node \[1\]: children and borders do not split"),
+    ((), {"leaf11": ([3], [3, 4, 0])},
+     r"tree node \[1\]: children and borders do not split"),
+    ((_CROSS,), {},
+     r"tree node \[1\]: 1 entries join two children of an exact-mode "
+     r"tree, e.g. \('u2', 'i3'\)"),
+    ((), {"inner_dropped": [_CROSS]},
+     r"tree node \[1\]: 1 pairs in the dropped list do not join two "
+     r"children, e.g. \('u2', 'i3'\)"),
+    ((_CROSS,), {"mode": "abbdf"},
+     r"tree node \[1\]: 1 entries join two children but are not in the "
+     r"dropped list, e.g. \('u2', 'i3'\)"),
+    ((), {"mode": "abbdf", "inner_dropped": [_CROSS]},
+     r"tree node \[1\]: 1 pairs in the dropped list do not join"),
+    ((_CROSS,), {"mode": "abbdf", "inner_dropped": [_CROSS, _CROSS]},
+     r"tree node \[1\]: the dropped list names \('u2', 'i3'\) twice"),
+    ((_CROSS,), {"mode": "abbdf", "inner_dropped": [_CROSS, (6, 0)]},
+     r"tree node \[1\]: 1 pairs in the dropped list do not join two "
+     r"children, e.g. \(row 6, col 0\)"),
+    ((), {"leaf10": [2]}, r"tree node \[1, 0\]: a leaf has borders"),
+    ((), {"root_rows": range(5)},
+     r"tree node \[\]: the root does not hold every row"),
+], ids=["overlapping-children", "index-outside-parent", "exact-cross-entry",
+        "exact-dropped-list", "abbdf-missing-drop", "abbdf-extra-drop",
+        "pair-listed-twice", "pair-outside-the-matrix", "leaf-with-border",
+        "root-misses-a-row"])
+def test_a_tree_that_breaks_an_invariant_raises_shape_error(extra, tree_kw,
+                                                            message):
+    m = _audit_matrix(*extra)
+    tree = _audit_tree(m, **tree_kw)
+    for check in (check_tree, assemble_blocks):
+        with pytest.raises(ShapeError, match=message) as err:
+            check(tree, m)
+        assert err.value.exit_code == 2
+
+
+_UNDER_O = """
+import sys
+from lmf import BBDFNode, BBDFTree, RatingMatrix, check_tree
+from lmf.errors import ShapeError
+
+m = RatingMatrix(2, 2, [0, 1, 0], [0, 1, 1], [1.0, 2.0, 3.0])
+for name, child_rows in (("overlap", ([0, 1], [1])), ("split", ([0], [1]))):
+    root = BBDFNode([0, 1], [0, 1])
+    root.children = [BBDFNode(r, [c]) for c, r in enumerate(child_rows)]
+    try:
+        print(name, check_tree(BBDFTree(root, "bbdf", 0, 1.0, matrix=m), m))
+    except ShapeError as exc:
+        print(name, "ShapeError:", exc)
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_python_O_changes_no_check():
+    # children that overlap, and exact-mode leaves that split entry (0, 1)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0].startswith("overlap ShapeError: tree node []: children")
+    assert lines[1].startswith("split ShapeError: tree node []: 1 entries")
+    assert lines[2] == "optimize 1"
 
 
 def test_assemble_blocks_and_check_tree_check_the_matrix_against_the_tree():

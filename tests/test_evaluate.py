@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from lmf import RatingMatrix, fchr, kfold_split, rmse, run_benchmark
+from lmf import (BBDFTree, RatingMatrix, fchr, kfold_split, load_ratings,
+                 rmse, run_benchmark)
 from lmf.cli import main as cli_main
 from lmf.errors import DegenerateInputError, UndefinedMetricError
 
@@ -327,6 +328,55 @@ def test_cli_fit_without_tree_is_single_block(tmp_path):
     assert rc == 0
     manifest = json.loads((modeld / "manifest.json").read_text())
     assert manifest["n_blocks"] == 1
+
+
+def test_cli_fit_gives_an_unlabelled_tree_the_labels_of_its_log(tmp_path):
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    labelled = tmp_path / "tree.json"
+    assert cli_main(["permute", "--input", str(data), "--target-density",
+                     "0.4", "--seed", "1", "--out", str(labelled)]) == 0
+    doc = json.loads(labelled.read_text())
+    assert doc["row_ids"] and doc["root"]["children"]
+    del doc["row_ids"], doc["col_ids"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    outputs = []
+    for tree in (labelled, bare):
+        model, out = tmp_path / f"model-{tree.stem}", tmp_path / tree.stem
+        assert cli_main(["fit", "--input", str(data), "--tree", str(tree),
+                         "--algo", "svd", "--factors", "3", "--iters", "5",
+                         "--out", str(model)]) == 0
+        assert cli_main(["predict", "--model", str(model), "--pairs",
+                         str(data), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_fit_rejects_a_log_with_entries_no_block_holds(tmp_path, capsys):
+    # ratings appended between existing users and items after the permute,
+    # with the user in one child of the root and the item in the other
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    treep = tmp_path / "tree.json"
+    assert cli_main(["permute", "--input", str(data), "--target-density",
+                     "0.4", "--seed", "1", "--out", str(treep)]) == 0
+    tree = BBDFTree.load(treep)
+    m = load_ratings(str(data))
+    left, right = tree.root.children
+    have = set(zip(m.rows.tolist(), m.cols.tolist()))
+    new = [(i, j) for i in left.rows.tolist() for j in right.cols.tolist()
+           if (i, j) not in have][:3]
+    with open(data, "a") as fh:
+        for i, j in new:
+            fh.write(f"{m.row_labels[i]}\t{m.col_labels[j]}\t3\n")
+    capsys.readouterr()
+    assert cli_main(["fit", "--input", str(data), "--tree", str(treep),
+                     "--algo", "svd", "--out", str(tmp_path / "model")]) == 2
+    err = capsys.readouterr().err
+    assert "tree node []: 3 entries join two children" in err
+    assert any(repr((m.row_labels[i], m.col_labels[j])) in err
+               for i, j in new)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import ast
 import ctypes
 import inspect
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,11 +485,40 @@ def test_predict_labels_on_unlabelled_tree_raises(tmp_path):
     m = planted_blocks(rng, [(5, 5)], 0.6)
     root = BBDFNode(np.arange(5), np.arange(5))
     tree = BBDFTree(root, "bbdf", 0, 1.0, n_rows=5, n_cols=5)
-    model = lmf_fit(tree, m, SPEC)
+    fitted = lmf_fit(tree, m, SPEC)  # takes the labels of ``m``
+    assert fitted.tree.row_ids == m.row_labels and tree.row_ids is None
+    model = LMFModel(tree, fitted.pairs, fitted.mu, fitted.b_user,
+                     fitted.b_item, fitted.spec, fitted.value_range)
     assert model.predict_many([0], [1])[1].all()
     with pytest.raises(MissingLabelsError) as err:
         model.predict_labels(["0"], ["1"])
     assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call, args", [
+    ("predict_many", ([0], [0, 1, 2])),
+    ("predict_many", ([0, 1], [0, 1, 2])),
+    ("predict_many", ([[0, 1]], [[0, 1]])),
+    ("predict_labels", (["0", "1"], ["0"])),
+])
+def test_predict_rejects_inputs_that_do_not_pair_up(call, args):
+    m = planted_blocks(np.random.default_rng(16), [(5, 5)], 0.6)
+    model = lmf_fit(single_leaf_tree(m), m, SPEC)
+    with pytest.raises(ShapeError) as err:
+        getattr(model, call)(*args)
+    assert err.value.exit_code == 2
+
+
+def test_library_has_no_assert_and_no_debug_switch():
+    # ``python -O`` strips both, so either would give the library a second
+    # behaviour
+    paths = sorted((Path(__file__).parents[1] / "src" / "lmf").glob("*.py"))
+    assert len(paths) >= 9
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

@@ -7,10 +7,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+import lmf.bbdf
 from lmf import balanced_permute, gpes_bisect, gpvs_bisect, partition, to_bipartite
 from lmf.errors import NoSplitError, TooSmallError
 from lmf.partition import (
     BipartiteGraph,
+    EdgePartition,
+    VertexPartition,
     _contract,
     _cut_value,
     _heavy_edge_matching,
@@ -605,3 +608,21 @@ def test_uncoarsened_bisection_grows_each_seed_once(monkeypatch):
             assert [p.tolist() for p in shared.parts] == \
                 [p.tolist() for p in alone.parts]
             assert shared.separator.tolist() == alone.separator.tolist()
+
+
+def test_every_partition_made_in_the_tests_is_verified(monkeypatch):
+    # conftest.py wraps both bisections wherever the library binds them
+    for name in ("gpvs_bisect", "gpes_bisect"):
+        assert getattr(lmf, name) is getattr(lmf.bbdf, name) \
+            is getattr(partition, name) is globals()[name]
+    g = to_bipartite(figure_bridge_matrix())
+    assert lmf.bbdf.gpvs_bisect(g).separator.size == 3
+    monkeypatch.setattr(partition, "VertexPartition",
+                        lambda parts, sep: VertexPartition(parts, sep[:0]))
+    with pytest.raises(AssertionError, match="cover all nodes"):
+        lmf.bbdf.gpvs_bisect(g)
+    assert lmf.bbdf.gpes_bisect(g).cut_edges.size
+    monkeypatch.setattr(partition, "EdgePartition",
+                        lambda parts, cut: EdgePartition(parts, cut[1:]))
+    with pytest.raises(AssertionError, match="cut_edges"):
+        lmf.bbdf.gpes_bisect(g)
