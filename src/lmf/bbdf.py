@@ -316,30 +316,30 @@ def _order_views(views):
     return [v for _, v in keyed]
 
 
-def _child_tags(parts, n_rows, n_cols):
-    """Per global row and column, the position in ``parts`` of the part
-    holding it, or -1 where no part does (a border, or outside them all)."""
-    rowtag = np.full(n_rows, -1, dtype=np.int64)
-    coltag = np.full(n_cols, -1, dtype=np.int64)
+def _entry_tags(parts, m, eidx):
+    """Per entry ``eidx`` of ``m``, the position in ``parts`` of the part
+    holding its row, and of the part holding its column; -1 where no part
+    holds it (a border, or outside them all)."""
+    rowtag = np.full(m.n_rows, -1, dtype=np.int64)
+    coltag = np.full(m.n_cols, -1, dtype=np.int64)
     for k, part in enumerate(parts):
         rowtag[part.rows] = k
         coltag[part.cols] = k
-    return rowtag, coltag
+    return rowtag[m.rows[eidx]], coltag[m.cols[eidx]]
 
 
-def _entry_parts(parts, m, eidx):
-    """Per entry ``eidx`` of ``m``, the position in ``parts`` of the part
-    holding its row and its column; -1 where no part holds one of them (a
-    border), and -2 where two different parts hold them."""
-    rowtag, coltag = _child_tags(parts, m.n_rows, m.n_cols)
-    tr, tc = rowtag[m.rows[eidx]], coltag[m.cols[eidx]]
-    return np.where((tr < 0) | (tc < 0), -1, np.where(tr == tc, tr, -2))
+def _child_blocks(tr, tc, n):
+    """Per child ``k`` of ``n``, the mask of the entries of a node's
+    assembled block, tagged by :func:`_entry_tags`, that its block holds:
+    those whose row and whose column each lie in child ``k`` or in none."""
+    return [((tr == k) | (tr < 0)) & ((tc == k) | (tc < 0)) for k in range(n)]
 
 
 def _cross_entries(parts, m, eidx):
     """The entries ``eidx`` of ``m`` whose row and column lie in two
     different ``parts``, as ``(row, col)`` pairs."""
-    cross = eidx[_entry_parts(parts, m, eidx) == -2]
+    tr, tc = _entry_tags(parts, m, eidx)
+    cross = eidx[(tr >= 0) & (tc >= 0) & (tr != tc)]
     return np.stack([m.rows[cross], m.cols[cross]], axis=1)
 
 
@@ -577,14 +577,10 @@ def balanced_permute(m, target_density, seed=0, on_round=None):
             except NoSplitError:
                 splits[node.path] = None
                 return None
-            # a child's block loses the entries in the other child's rows
-            # or columns
-            rowtag, coltag = _child_tags(children, m.n_rows, m.n_cols)
-            tr, tc = rowtag[m.rows[eidx]], coltag[m.cols[eidx]]
+            keep = _child_blocks(*_entry_tags(children, m, eidx), 2)
             splits[node.path] = rb, cb, [
                 (BBDFNode(ch.rows, ch.cols, path=node.path + (ci,)),
-                 eidx[(tr != 1 - ci) & (tc != 1 - ci)],
-                 nr - other.rows.size, nc - other.cols.size)
+                 eidx[keep[ci]], nr - other.rows.size, nc - other.cols.size)
                 for ci, (ch, other) in enumerate(zip(children, children[::-1]))]
         return splits[node.path]
 
@@ -666,14 +662,12 @@ def _check_matrix(tree, m):
 
 def assemble_blocks(tree, m):
     """One assembled block of ``m`` per leaf of ``tree``, over the indices
-    of :func:`assembled_indices`. Dropped scatter entries are excluded from
-    the assembled entry sets. A matrix or a tree that fails
-    :func:`check_tree` raises :class:`ShapeError`."""
-    dropped, _ = _audit(tree, m)
+    of :func:`assembled_indices` and holding the entries :func:`check_tree`'s
+    walk gives the leaf; no dropped entry lies in any block. A matrix or a
+    tree that fails :func:`check_tree` raises :class:`ShapeError`."""
+    leaf_entries, _ = _audit(tree, m)
     blocks = []
-    for leaf, rows, cols in assembled_indices(tree):
-        eidx = SubmatrixView(m, rows, cols).entry_indices()
-        eidx = eidx[~dropped[eidx]]
+    for (leaf, rows, cols), eidx in zip(assembled_indices(tree), leaf_entries):
         local = RatingMatrix(
             rows.size, cols.size,
             _positions(rows, m.n_rows)[m.rows[eidx]],
@@ -779,15 +773,16 @@ def check_tree(tree, m):
 
 
 def _audit(tree, m):
-    """:func:`check_tree`'s check; returns the mask of dropped entries over
-    ``m`` and the counts."""
+    """:func:`check_tree`'s check, one walk that descends with each node's
+    assembled entries; returns the entry indices of each leaf's assembled
+    block, in tree order, and the counts."""
     _check_matrix(tree, m)
     if not _governs(tree.root, m.n_rows, m.n_cols):
         raise ShapeError("tree node []: the root does not hold every row "
                          "and column once")
     exact = tree.mode in ("bbdf", "balanced")
-    dropped = np.zeros(m.nnz, dtype=bool)
-    counts = {"leaf": 0, "border": 0, "dropped": 0, "leaves": 0}
+    leaf_entries = []
+    counts = {"leaf": 0, "border": 0, "dropped": 0}
 
     def name(r, c=None):
         """A pair by its labels; one argument is a key ``r * n_cols + c``."""
@@ -797,22 +792,23 @@ def _audit(tree, m):
             return repr((m.row_labels[r], m.col_labels[c]))
         return f"(row {r}, col {c})"
 
-    def walk(node, path, eidx):
+    def walk(node, path, eidx, own):  # own: eidx inside the node itself
         where = f"tree node {list(path)}"
         if node.is_leaf:
             if len(node.row_border) or len(node.col_border) \
                     or len(node.dropped):
                 raise ShapeError(f"{where}: a leaf has borders or dropped "
                                  "entries")
-            counts["leaf"] += eidx.size
-            counts["leaves"] += 1
+            counts["leaf"] += int(own.sum())
+            leaf_entries.append(eidx)
             return
         if not (_splits(node, "rows", "row_border")
                 and _splits(node, "cols", "col_border")):
             raise ShapeError(f"{where}: children and borders do not split "
                              "the node's rows and columns")
-        tag = _entry_parts(node.children, m, eidx)
-        cross = eidx[tag == -2]
+        tr, tc = _entry_tags(node.children, m, eidx)
+        inside = (tr >= 0) & (tc >= 0)
+        cross = eidx[inside & (tr != tc)]
         keys = m.rows[cross] * m.n_cols + m.cols[cross]
         if exact and keys.size:
             raise ShapeError(f"{where}: {keys.size} entries join two children "
@@ -835,11 +831,12 @@ def _audit(tree, m):
             raise ShapeError(f"{where}: the dropped list names "
                              f"{name(twice[1:][twice[1:] == twice[:-1]][0])} "
                              "twice")
-        dropped[cross] = True
         counts["dropped"] += cross.size
-        counts["border"] += int((tag == -1).sum())
-        for ci, ch in enumerate(node.children):
-            walk(ch, path + (ci,), eidx[tag == ci])
+        counts["border"] += int((own & ~inside).sum())
+        for k, keep in enumerate(_child_blocks(tr, tc, len(node.children))):
+            walk(node.children[k], path + (k,), eidx[keep],
+                 ((tr == k) & (tc == k))[keep])
 
-    walk(tree.root, (), np.arange(m.nnz, dtype=np.int64))
-    return dropped, counts
+    walk(tree.root, (), np.arange(m.nnz, dtype=np.int64),
+         np.ones(m.nnz, dtype=bool))
+    return leaf_entries, {**counts, "leaves": len(leaf_entries)}

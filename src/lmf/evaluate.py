@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .bbdf import PERMUTE_MODES, _permute
+from .bbdf import PERMUTE_MODES, _audit, _permute
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -206,13 +206,16 @@ def run_benchmark(config):
         with _stage("fit", fold, times):
             model = lmf_fit(tree, m_tr, spec, threads=threads,
                             uncovered=uncovered)
-        area = sum(b.area for b in model.blocks)
-        nnz = sum(b.nnz for b in model.blocks)
+        nnz = [e.size for e in _audit(model.tree, m_tr)[0]]
+        area = [r.size * c.size
+                for r, c in zip(model.block_rows, model.block_cols)]
         for key, value in (
                 ("blocks", model.n_blocks),
-                ("block_densities", [b.density for b in model.blocks]),
+                ("block_densities", [n / a if a else 0.0
+                                     for n, a in zip(nnz, area)]),
                 ("fchr", fchr(tree.rounds) if tree.rounds else None),
-                ("assembled_density", nnz / area if area else 0.0)):
+                ("assembled_density",
+                 sum(nnz) / sum(area) if sum(area) else 0.0)):
             column = stats.setdefault(key, [])
             if value is not None:
                 column.append(value)

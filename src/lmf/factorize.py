@@ -490,6 +490,8 @@ def load_factors(path):
         raise ShapeError(f"{path}: {len(data)} bytes of factors, the header "
                          f"needs {expected}")
     body = np.frombuffer(data, dtype="<f8")
+    if not np.isfinite(body).all():
+        raise ShapeError(f"{path}: a factor or threshold is not finite")
     U = body[:n_u].reshape(n_rows, r)
     V = body[n_u:n_u + n_v].reshape(n_cols, r)
     th = body[n_u + n_v:].reshape(n_rows, n_th) if n_th else None

@@ -71,10 +71,11 @@ def fallback_biases(m):
 
 class LMFModel:
     """One factor pair per leaf of ``tree``, in tree order, over the rows
-    and columns of :func:`assembled_indices`, plus what stitching needs."""
+    and columns of :func:`assembled_indices`, plus what stitching needs:
+    what :meth:`load` reads back, and ``timings`` when fitted."""
 
     def __init__(self, tree, pairs, mu, b_user, b_item, spec, value_range,
-                 blocks=None, timings=None, uncovered=UNCOVERED[0]):
+                 timings=None, uncovered=UNCOVERED[0]):
         _, self.block_rows, self.block_cols = zip(*assembled_indices(tree))
         if len(pairs) != len(self.block_rows):
             raise ShapeError(f"{len(pairs)} factor pairs for a tree with "
@@ -87,7 +88,6 @@ class LMFModel:
         self.b_item = b_item
         self.spec = spec
         self.value_range = value_range
-        self.blocks = blocks  # AssembledBlock list when fitted in-process
         self.timings = timings or {}
         self.uncovered = uncovered
 
@@ -263,14 +263,17 @@ class LMFModel:
                                  f"{pair.V.shape}, expected {want_u} and "
                                  f"{want_v}")
             pairs.append(pair)
-        with open(os.path.join(directory, "biases.bin"), "rb") as fh:
+        path = os.path.join(directory, "biases.bin")
+        with open(path, "rb") as fh:
             raw = fh.read()
         expected = 8 * (tree.n_rows + tree.n_cols)
         if len(raw) != expected:
-            raise ShapeError(f"biases.bin holds {len(raw)} bytes, expected "
+            raise ShapeError(f"{path} holds {len(raw)} bytes, expected "
                              f"{expected} for {tree.n_rows} rows and "
                              f"{tree.n_cols} columns")
         b = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(b).all():
+            raise ShapeError(f"{path}: a bias is not finite")
         b_user = b[:tree.n_rows].copy()
         b_item = b[tree.n_rows:tree.n_rows + tree.n_cols].copy()
         return cls(tree, pairs, mu, b_user, b_item, spec, tuple(value_range),
@@ -375,8 +378,7 @@ def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
 
     mu, b_u, b_i = fallback_biases(m)
     return LMFModel(tree, pairs, mu, b_u, b_i, spec, m.value_range(),
-                    blocks=blocks, timings={"fit_wall": fit_wall},
-                    uncovered=uncovered)
+                    timings={"fit_wall": fit_wall}, uncovered=uncovered)
 
 
 def coverage_count(model, i, j):

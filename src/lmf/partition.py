@@ -219,7 +219,7 @@ def _grow_from_seed(level, seed_node, cap, total_w):
     return side
 
 
-def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
+def _fm_refine(level, side, tol):
     """Boundary Fiduccia-Mattheyses refinement of ``side``, in place;
     returns the ``(cut, imbalance)`` of the side it leaves.
 
@@ -248,7 +248,7 @@ def _fm_refine(level, side, tol, max_passes=_FM_MAX_PASSES):
     src = np.repeat(np.arange(n), deg)
     wdeg = np.bincount(src, weights=adjwgt, minlength=n)
 
-    for _ in range(max_passes):
+    for _ in range(_FM_MAX_PASSES):
         crossing = np.repeat(side, deg) != side[adjncy]
         external = np.bincount(src, weights=adjwgt * crossing, minlength=n)
         gain = (2 * external - wdeg).astype(np.int64)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lmf import FactorizerSpec, LMFModel, balanced_permute, lmf_fit
+from lmf import (BBDFTree, FactorPair, FactorizerSpec, LMFModel,
+                 balanced_permute, lmf_fit)
 from lmf.cli import main as cli_main
 from lmf.errors import LMFError, ShapeError, SpecError
 
@@ -119,6 +120,13 @@ EDITS = {
     # a byte edit: the header's algorithm tag, past the four in the table
     "algorithm tag out of range": ("block_0000.fac", lambda raw: raw[:8]
                                    + struct.pack("<I", 4) + raw[12:]),
+    # the first factor, just past the 36-byte header, and the last one
+    "factor not a number": ("block_0000.fac", lambda raw: raw[:36]
+                            + struct.pack("<d", float("nan")) + raw[44:]),
+    "factor infinite": ("block_0001.fac", lambda raw: raw[:-8]
+                        + struct.pack("<d", float("-inf"))),
+    "bias not a number": ("biases.bin", lambda raw: raw[:8]
+                          + struct.pack("<d", float("nan")) + raw[16:]),
 }
 
 
@@ -188,6 +196,26 @@ def _fitted(seed, algo, uncovered):
                       uncovered=uncovered)
 
 
+def _same(a, b):
+    """Equal values: trees by their JSON, arrays bitwise, containers and
+    factor pairs item by item."""
+    if isinstance(a, (BBDFTree, np.ndarray, FactorPair, dict, list, tuple)) \
+            and type(a) is not type(b):
+        return False
+    if isinstance(a, BBDFTree):
+        return a.to_json() == b.to_json()
+    if isinstance(a, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
+    if isinstance(a, FactorPair):
+        a, b = vars(a), vars(b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000),
        algo=st.sampled_from(["svd_als", "nmf", "pmf_sgd", "mmmf_fast"]),
@@ -204,8 +232,10 @@ def test_save_load_round_trip_is_bitwise(seed, algo, uncovered):
             with open(os.path.join(first, name), "rb") as a, \
                     open(os.path.join(second, name), "rb") as b:
                 assert a.read() == b.read(), name
-    for a, b in zip(model.pairs, loaded.pairs):
-        assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+    # a fitted model holds exactly what its directory holds, plus timings
+    assert vars(model).keys() == vars(loaded).keys()
+    for key in sorted(vars(model).keys() - {"timings"}):
+        assert _same(getattr(model, key), getattr(loaded, key)), key
     I, J = np.divmod(np.arange(m.n_rows * m.n_cols), m.n_cols)
     for x, y in zip(model.predict_many(I, J), loaded.predict_many(I, J)):
         assert np.array_equal(x, y)

@@ -24,9 +24,12 @@ from lmf import (
     improve_density,
     permutation_from_tree,
 )
+from lmf.bbdf import assembled_indices
 from lmf.errors import DegenerateBlockError, NoSplitError, ShapeError
+from lmf.matrix import _positions
 
-from conftest import block_diag_matrix, figure_bridge_matrix, planted_blocks
+from conftest import (block_diag_matrix, figure_bridge_matrix, planted_blocks,
+                      random_sparse)
 
 
 def dense_block_diag(rng):
@@ -624,6 +627,66 @@ def test_assemble_excludes_dropped_entries():
         cells = {(int(b.rows[i]), int(b.cols[j]))
                  for i, j in zip(b.matrix.rows, b.matrix.cols)}
         assert not (cells & dropped)
+
+
+def _blocks_reference(tree, m):
+    """Each leaf's assembled block by a mask per leaf: the entries inside
+    its rows and columns, less the pairs in any node's dropped list."""
+    dropped = set(map(tuple, tree.dropped_entries().tolist()))
+    blocks = []
+    for _, rows, cols in assembled_indices(tree):
+        eidx = np.array([e for e in SubmatrixView(m, rows, cols)
+                         .entry_indices().tolist()
+                         if (m.rows[e], m.cols[e]) not in dropped],
+                        dtype=np.int64)
+        blocks.append(RatingMatrix(
+            rows.size, cols.size, _positions(rows, m.n_rows)[m.rows[eidx]],
+            _positions(cols, m.n_cols)[m.cols[eidx]], m.vals[eidx]))
+    return blocks
+
+
+def _random_communities(rng, m):
+    """Two to four communities over the bipartite nodes of ``m``, each
+    with an exclusive node; some nodes shared, some in none."""
+    k = int(rng.integers(2, 5))
+    comms = [{i} for i in range(k)]
+    for v in range(k, m.n_rows + m.n_cols):
+        owner = int(rng.integers(k + 1))
+        if owner < k:
+            comms[owner].add(v)
+            if rng.random() < 0.15:
+                comms[int(rng.integers(k))].add(v)
+    return comms
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_assembled_entries_match_a_mask_per_leaf(seed):
+    """The tree walk gives each block the entries of the per-leaf mask
+    less the dropped pairs, in the same order, for every kind of tree."""
+    rng = np.random.default_rng(900 + seed)
+    if seed % 2:
+        m = random_sparse(rng, int(rng.integers(8, 40)),
+                          int(rng.integers(8, 40)), rng.uniform(0.05, 0.3))
+    else:
+        sizes = [(int(rng.integers(4, 12)), int(rng.integers(4, 12)))
+                 for _ in range(int(rng.integers(2, 5)))]
+        m = planted_blocks(rng, sizes, 0.6, density_cross=0.05,
+                           bridge_rows=int(rng.integers(0, 3)))
+    target = min(1.0, 2.5 * m.nnz / m.area)
+    trees = [bbdf_permute(m, target, seed=seed),
+             abbdf_permute(m, target, seed=seed),
+             balanced_permute(m, target, seed=seed)[0],
+             community_tree(m, _random_communities(rng, m))]
+    assert any(t.dropped_entries().size for t in trees[1::2])
+    for tree in trees:
+        got = assemble_blocks(tree, m)
+        want = _blocks_reference(tree, m)
+        assert len(got) == len(want)
+        for b, ref in zip(got, want):
+            assert b.matrix.shape == ref.shape
+            for key in ("rows", "cols", "vals"):
+                assert np.array_equal(getattr(b.matrix, key),
+                                      getattr(ref, key)), (tree.mode, key)
 
 
 def test_conservation_counts():

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -695,6 +696,20 @@ def test_factor_file_rejects_truncation(tmp_path, cut):
     with pytest.raises(ShapeError) as err:
         load_factors(path)
     assert err.value.exit_code == 2 and "bytes" in str(err.value)
+
+
+def test_factor_file_rejects_non_finite_threshold(tmp_path):
+    rng = np.random.default_rng(16)
+    r, c, v = random_block(rng, 6, 7, 0.6)
+    spec = FactorizerSpec(algorithm="mmmf_fast", r=3, learning_rate=0.02,
+                          max_iters=4, seed=2)
+    path = tmp_path / "block.fac"
+    save_factors(path, factorize(RatingMatrix(6, 7, r, c, v), spec), spec)
+    # the last value of the file is the last row's last threshold
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", float("inf")))
+    with pytest.raises(ShapeError, match="not finite") as err:
+        load_factors(path)
+    assert str(path) in str(err.value)
 
 
 def test_factor_file_rejects_garbage(tmp_path):

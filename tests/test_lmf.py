@@ -17,6 +17,7 @@ from lmf import (
     FactorizerSpec,
     LMFModel,
     RatingMatrix,
+    assemble_blocks,
     balanced_permute,
     check_tree,
     coverage_count,
@@ -582,7 +583,7 @@ def test_model_takes_its_blocks_from_the_tree():
     model = lmf_fit(tree, m, SPEC)
     for (_, rows, cols), r, c, b in zip(assembled_indices(tree),
                                         model.block_rows, model.block_cols,
-                                        model.blocks):
+                                        assemble_blocks(tree, m)):
         assert np.array_equal(rows, r) and np.array_equal(rows, b.rows)
         assert np.array_equal(cols, c) and np.array_equal(cols, b.cols)
     args = (model.mu, model.b_user, model.b_item, SPEC, model.value_range)
@@ -629,8 +630,8 @@ def test_public_surface():
                           "learning_rate max_iters convergence_tol seed levels",
         "FoldPlan": "n_folds seed assignment",
         "IndexPermutation": "row_perm col_perm",
-        "LMFModel": "tree pairs mu b_user b_item spec value_range blocks "
-                    "timings uncovered",
+        "LMFModel": "tree pairs mu b_user b_item spec value_range timings "
+                    "uncovered",
         "RatingMatrix": "n_rows n_cols rows cols vals row_labels col_labels",
         "SubmatrixView": "matrix rows cols",
         "VertexPartition": "parts separator",
