@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bbdf import PERMUTE_MODES, BBDFNode, BBDFTree, _permute, \
-    assemble_blocks
+    assemble_blocks, check_tree
 from .errors import LMFError, read_json
 from .evaluate import EvalReport, fchr, format_report, kfold_split, rmse, \
     run_benchmark
@@ -66,7 +66,17 @@ def cmd_permute(args):
     m = load_ratings(args.input)
     tree = _permute(m, args.mode, args.target_density, seed=args.seed)
     tree.save(args.out)
-    print(f"{args.mode}: {len(tree.leaves())} blocks -> {args.out}")
+    counts = check_tree(tree, m)
+    leaves, dropped = counts["leaves"], counts["dropped"]
+    share = dropped / m.nnz  # load_ratings refuses a log with no entries
+    print(f"{args.mode}: {leaves} blocks, {dropped} of {m.nnz} entries "
+          f"({share:.1%}) dropped -> {args.out}")
+    if leaves == 1:
+        print("warning: the tree is one leaf; a fit on it is the whole-matrix "
+              "fit", file=sys.stderr)
+    if dropped:
+        print(f"warning: {share:.1%} of the entries lie in no block; no "
+              "block trains on them", file=sys.stderr)
     return 0
 
 

@@ -190,9 +190,12 @@ def _sse(m, U, V):
 # Each algorithm is an epoch builder ``(m, spec, rng, sample_order) -> sweep``
 # and an objective ``(m, spec, U, V, thresholds) -> float``. ``sweep(U, V)``
 # runs one epoch in place and returns the thresholds (mmmf_fast) or None.
+# Objectives ignore overflow: diverged factors show up as a non-finite
+# objective, which factorize raises as DivergenceError.
 
 # -- svd_als -------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _als_objective(m, spec, U, V, thresholds):
     nr_w = m.row_counts().astype(np.float64)
     nc_w = m.col_counts().astype(np.float64)
@@ -248,6 +251,7 @@ def _als_epoch(m, spec, rng, sample_order):
 
 # -- nmf ----------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _nmf_objective(m, spec, U, V, thresholds):
     return _sse(m, U, V) + spec.reg * (float((U * U).sum()) + float((V * V).sum()))
 
@@ -272,6 +276,7 @@ def _nmf_epoch(m, spec, rng, sample_order):
 
 # -- pmf (MAP by sgd) ----------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pmf_objective(m, spec, U, V, thresholds):
     return (_sse(m, U, V) + spec.reg_user * float((U * U).sum())
             + spec.reg_item * float((V * V).sum()))

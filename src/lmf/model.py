@@ -1,13 +1,16 @@
 """Localized factorization: fit every assembled block independently (and
 in parallel), then stitch predictions back together.
 
-A cell covered by several assembled blocks (it sits in borders shared by
-them) is predicted by the arithmetic mean of the per-block predictions; a
-cell covered by no block falls back to a damped bias model
-``mu + b_user + b_item`` computed from the training entries, or, with
-``uncovered="cross"``, to the mean over every pair of blocks that holds its
-row and its column. The fallback never fires for covered cells. Every
-prediction goes through :meth:`LMFModel.predict_many`.
+A row lies in the own rows or the border of one tree node, so the blocks
+holding it are those of the consecutive leaves below that node, its leaf
+range; the same holds for a column. A cell covered by several blocks (the
+overlap of its row's and its column's ranges) is predicted by the mean of
+the per-block predictions; a cell covered by no block falls back to a
+damped bias model ``mu + b_user + b_item`` computed from the training
+entries, or, with ``uncovered="cross"``, to the mean over every pair of
+blocks that holds its row and its column, from per-row and per-column
+factor sums built once. The factors of all blocks are held once, stacked.
+Every prediction goes through :meth:`LMFModel.predict_many`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import ConfigError, MissingLabelsError, ShapeError, \
     error_context, read_json
 from .factorize import (
     FactorPair,
-    _chunk_rows,
     _dots,
     _is_number,
     factorize,
@@ -38,7 +40,6 @@ from .factorize import (
     spec_from_dict,
     spec_to_dict,
 )
-from .matrix import _positions
 
 _BIAS_DAMPING = 25.0
 # how a cell that no block covers is predicted (see LMFModel.predict_many);
@@ -69,10 +70,30 @@ def fallback_biases(m):
     return mu, b_u, b_i
 
 
+def _stack(factors, blocks, n, sums):
+    """The blocks' factors stacked, a view of the stack per block, the flat
+    ``(n_blocks * n)`` table of each index's row in the stack (-1 where a
+    block lacks it), per index the leaf range ``[lo, hi)`` holding it and,
+    if ``sums``, the sum of its factor rows, taken in block order."""
+    stacked = np.concatenate(factors)
+    ends = np.cumsum([len(f) for f in factors])
+    table = np.full((len(blocks), n), -1, dtype=np.int64)
+    total = np.zeros((n, stacked.shape[1])) if sums else None
+    for k, (idx, f, end) in enumerate(zip(blocks, factors, ends)):
+        table[k, idx] = np.arange(end - idx.size, end)
+        if sums:
+            total[idx] += f
+    held = table >= 0
+    lo = held.argmax(axis=0)
+    return (stacked, np.split(stacked, ends[:-1]), table.ravel(), lo,
+            lo + held.sum(axis=0), total)
+
+
 class LMFModel:
     """One factor pair per leaf of ``tree``, in tree order, over the rows
     and columns of :func:`assembled_indices`, plus what stitching needs:
-    what :meth:`load` reads back, and ``timings`` when fitted."""
+    what :meth:`load` reads back, and ``timings`` when fitted. Each
+    ``pairs[k].U`` (``.V``) is a view into the stacked ``_U`` (``_V``)."""
 
     def __init__(self, tree, pairs, mu, b_user, b_item, spec, value_range,
                  timings=None, uncovered=UNCOVERED[0]):
@@ -81,28 +102,27 @@ class LMFModel:
             raise ShapeError(f"{len(pairs)} factor pairs for a tree with "
                              f"{len(self.block_rows)} leaves")
         _check_uncovered(uncovered)
-        self.tree = tree
-        self.pairs = pairs
-        self.mu = mu
-        self.b_user = b_user
-        self.b_item = b_item
-        self.spec = spec
-        self.value_range = value_range
-        self.timings = timings or {}
-        self.uncovered = uncovered
-
-        self._rpos = [_positions(rows, tree.n_rows) for rows in self.block_rows]
-        self._cpos = [_positions(cols, tree.n_cols) for cols in self.block_cols]
+        self.tree, self.mu, self.b_user, self.b_item = tree, mu, b_user, b_item
+        self.spec, self.value_range = spec, value_range
+        self.timings, self.uncovered = timings or {}, uncovered
+        cross = uncovered == "cross"
+        self._U, us, self._rtab, self._rlo, self._rhi, su = _stack(
+            [p.U for p in pairs], self.block_rows, tree.n_rows, cross)
+        self._V, vs, self._ctab, self._clo, self._chi, sv = _stack(
+            [p.V for p in pairs], self.block_cols, tree.n_cols, cross)
+        self.pairs = [replace(p, U=u, V=v) for p, u, v in zip(pairs, us, vs)]
+        # per row sum_a U_a[i] and count n_a, per column the same over V
+        self._cross = (su, self._rhi - self._rlo, sv,
+                       self._chi - self._clo) if cross else None
 
     @property
     def n_blocks(self):
         return len(self.pairs)
 
-    def _covering(self, I, J):
+    def _cover(self, I, J):
         """Check that the index arrays are 1-D, of equal length and in
-        range; then, per block, its factor pair, the mask of pairs it covers
-        and the local row and col positions (-1 where the block lacks the
-        index)."""
+        range; then, per cell, the first block that covers it and the
+        number of blocks that do (possibly 0)."""
         I = np.asarray(I, dtype=np.int64)
         J = np.asarray(J, dtype=np.int64)
         if I.ndim != 1 or I.shape != J.shape:
@@ -111,13 +131,13 @@ class LMFModel:
         if I.size and (I.min() < 0 or I.max() >= self.tree.n_rows
                        or J.min() < 0 or J.max() >= self.tree.n_cols):
             raise ShapeError("index out of range")
-        for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
-            li, lj = rp[I], cp[J]
-            yield pair, (li >= 0) & (lj >= 0), li, lj
+        lo = np.maximum(self._rlo[I], self._clo[J])
+        hi = np.minimum(self._rhi[I], self._chi[J])
+        return I, J, lo, np.maximum(hi - lo, 0)
 
     def coverage_count(self, i, j):
         """How many assembled blocks contain both indices (possibly 0)."""
-        return sum(int(sel[0]) for _, sel, _, _ in self._covering([i], [j]))
+        return int(self._cover([i], [j])[3][0])
 
     def predict(self, i, j):
         """:meth:`predict_many` for a single cell."""
@@ -127,54 +147,35 @@ class LMFModel:
         """Predictions for parallel index arrays, clamped to the rating
         scale, and the mask of cells some block covers.
 
-        A covered cell gets the mean of its covering blocks' predictions.
-        An uncovered cell gets the bias fallback; with ``uncovered="cross"``
-        it gets the mean of ``U_a[i] . V_b[j]`` over every block ``a``
-        holding row ``i`` and every block ``b`` holding column ``j``, which
-        by bilinearity is ``(sum_a U_a[i]) . (sum_b V_b[j]) / (n_a n_b)``,
-        and the bias fallback only when no such pair of blocks exists.
+        A covered cell gets the mean of its covering blocks' predictions,
+        summed in block order. An uncovered cell gets the bias fallback;
+        with ``uncovered="cross"`` it gets the mean of ``U_a[i] . V_b[j]``
+        over every block ``a`` holding row ``i`` and ``b`` holding column
+        ``j``, by bilinearity ``(sum_a U_a[i]) . (sum_b V_b[j]) / (n_a n_b)``.
         """
-        I = np.asarray(I, dtype=np.int64)
-        J = np.asarray(J, dtype=np.int64)
+        I, J, first, count = self._cover(I, J)
         total = np.zeros(I.size)
-        count = np.zeros(I.size, dtype=np.int64)
-        for pair, sel, li, lj in self._covering(I, J):
-            if sel.any():
-                total[sel] += _dots(pair.U, pair.V, li[sel], lj[sel])
-                count[sel] += 1
+        # round s adds the s-th covering block of every cell that has one
+        t, s = np.flatnonzero(count), 0
+        while t.size:
+            k = first[t] + s
+            total[t] += _dots(self._U, self._V,
+                              self._rtab[k * self.tree.n_rows + I[t]],
+                              self._ctab[k * self.tree.n_cols + J[t]])
+            s += 1
+            t = t[count[t] > s]
         covered = count > 0
-        out = np.empty(I.size)
-        out[covered] = total[covered] / count[covered]
+        out = total / np.maximum(count, 1)
         rest = np.flatnonzero(~covered)
         if rest.size:
             Ir, Jr = I[rest], J[rest]
-            out[rest] = self.mu + self.b_user[Ir] + self.b_item[Jr]
-            if self.uncovered == "cross":
-                step = _chunk_rows(self.spec.r)
-                for s in range(0, rest.size, step):
-                    chunk = rest[s:s + step]
-                    mean, ok = self._cross_mean(Ir[s:s + step], Jr[s:s + step])
-                    out[chunk[ok]] = mean
-        lo, hi = self.value_range
-        return np.clip(out, lo, hi), covered
-
-    def _cross_mean(self, I, J):
-        """``(sum_a U_a[i]) . (sum_b V_b[j]) / (n_a n_b)`` for the cells
-        with at least one such pair of blocks, and the mask of those cells."""
-        su = np.zeros((I.size, self.spec.r))
-        sv = np.zeros((I.size, self.spec.r))
-        n_a = np.zeros(I.size, dtype=np.int64)
-        n_b = np.zeros(I.size, dtype=np.int64)
-        for rp, cp, pair in zip(self._rpos, self._cpos, self.pairs):
-            li, lj = rp[I], cp[J]
-            a, b = li >= 0, lj >= 0
-            su[a] += pair.U[li[a]]
-            sv[b] += pair.V[lj[b]]
-            n_a += a
-            n_b += b
-        n = n_a * n_b
-        ok = n > 0
-        return np.einsum("ij,ij->i", su[ok], sv[ok]) / n[ok], ok
+            fallback = self.mu + self.b_user[Ir] + self.b_item[Jr]
+            if self._cross is not None:
+                su, n_a, sv, n_b = self._cross
+                n = n_a[Ir] * n_b[Jr]
+                np.divide(_dots(su, sv, Ir, Jr), n, out=fallback, where=n > 0)
+            out[rest] = fallback
+        return np.clip(out, *self.value_range), covered
 
     def predict_labels(self, users, items):
         """:meth:`predict_many` over user and item labels.
@@ -201,8 +202,7 @@ class LMFModel:
         Iu, Ju = I[~known], J[~known]
         p = self.mu + np.where(Iu >= 0, self.b_user[Iu], 0.0) \
             + np.where(Ju >= 0, self.b_item[Ju], 0.0)
-        lo, hi = self.value_range
-        pred[~known] = np.clip(p, lo, hi)
+        pred[~known] = np.clip(p, *self.value_range)
         return pred, covered
 
     # -- persistence --------------------------------------------------------

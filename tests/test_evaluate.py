@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from lmf import (BBDFTree, RatingMatrix, fchr, kfold_split, load_ratings,
-                 rmse, run_benchmark)
+from lmf import (BBDFTree, RatingMatrix, check_tree, fchr, kfold_split,
+                 load_ratings, rmse, run_benchmark)
 from lmf.cli import main as cli_main
 from lmf.errors import DegenerateInputError, UndefinedMetricError
 
@@ -351,6 +351,44 @@ def test_cli_fit_gives_an_unlabelled_tree_the_labels_of_its_log(tmp_path):
                          str(data), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode, target, warning", [
+    ("balanced", "0.4", None),
+    ("bbdf", "0.1", "warning: the tree is one leaf"),  # the log is denser
+    ("abbdf", "0.4", "of the entries lie in no block")])
+def test_cli_permute_says_when_a_tree_is_degenerate(tmp_path, capsys, mode,
+                                                    target, warning):
+    data, treep = tmp_path / "ratings.tsv", tmp_path / "tree.json"
+    _write_ratings_file(data, _bench_matrix())
+    m = load_ratings(str(data))
+    assert cli_main(["permute", "--input", str(data), "--mode", mode,
+                     "--target-density", target, "--seed", "1",
+                     "--out", str(treep)]) == 0
+    counts = check_tree(BBDFTree.load(treep), m)
+    captured = capsys.readouterr()
+    assert f"{mode}: {counts['leaves']} blocks, {counts['dropped']} of " \
+        f"{m.nnz} entries" in captured.out
+    if warning is None:
+        assert counts["leaves"] > 1 and counts["dropped"] == 0
+        assert captured.err == ""
+    else:
+        assert captured.err.count("\n") == 1 and warning in captured.err
+
+
+# at rate 0.2 the factors first overflow in the objective, at 100 already in
+# the epoch
+@pytest.mark.parametrize("rate", ["0.2", "100"])
+def test_cli_fit_divergence_prints_only_the_error_line(tmp_path, capsys,
+                                                       rate):
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    assert cli_main(["fit", "--input", str(data), "--algo", "pmf",
+                     "--learning-rate", rate,
+                     "--out", str(tmp_path / "model")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite objective" in err
 
 
 def test_cli_fit_rejects_a_log_with_entries_no_block_holds(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import ctypes
+import importlib
 import inspect
 import json
 import os
@@ -17,9 +18,12 @@ from lmf import (
     FactorizerSpec,
     LMFModel,
     RatingMatrix,
+    abbdf_permute,
     assemble_blocks,
     balanced_permute,
+    bbdf_permute,
     check_tree,
+    community_tree,
     coverage_count,
     factorize,
     lmf_fit,
@@ -27,7 +31,9 @@ from lmf import (
 )
 from lmf.errors import DomainError, MissingLabelsError, ShapeError
 from lmf import model as model_module
-from lmf.model import _single_blas_thread, fallback_biases
+from lmf.factorize import _chunk_rows, _dots
+from lmf.matrix import _positions
+from lmf.model import UNCOVERED, _single_blas_thread, fallback_biases
 
 from conftest import planted_blocks
 
@@ -443,10 +449,123 @@ def test_cross_fallback_chunks_equal_one_batch(monkeypatch):
     want = model.mu + model.b_user[Ir] + model.b_item[Jr]
     want[n > 0] = np.einsum("ij,ij->i", su[n > 0], sv[n > 0]) / n[n > 0]
     want = np.clip(want, *model.value_range)
-    monkeypatch.setattr(model_module, "_chunk_rows", lambda r: 7)
+    # lmf.factorize the module, which the package's factorize function hides
+    monkeypatch.setattr(importlib.import_module("lmf.factorize"),
+                        "_chunk_rows", lambda r: 7)
     pred, _ = model.predict_many(I, J)
     assert (n > 0).sum() > 7
     assert np.array_equal(pred[~covered], want)
+
+
+def _predict_reference(model, I, J):
+    """The per-block stitch: one pass over the batch per block, then the
+    cross sums gathered block by block per chunk of uncovered cells.
+    Returns the predictions, the covered flags and the coverage counts."""
+    I = np.asarray(I, dtype=np.int64)
+    J = np.asarray(J, dtype=np.int64)
+    rpos = [_positions(rows, model.tree.n_rows) for rows in model.block_rows]
+    cpos = [_positions(cols, model.tree.n_cols) for cols in model.block_cols]
+    total = np.zeros(I.size)
+    count = np.zeros(I.size, dtype=np.int64)
+    for rp, cp, pair in zip(rpos, cpos, model.pairs):
+        li, lj = rp[I], cp[J]
+        sel = (li >= 0) & (lj >= 0)
+        if sel.any():
+            total[sel] += _dots(pair.U, pair.V, li[sel], lj[sel])
+            count[sel] += 1
+    covered = count > 0
+    out = np.empty(I.size)
+    out[covered] = total[covered] / count[covered]
+    rest = np.flatnonzero(~covered)
+    if rest.size:
+        Ir, Jr = I[rest], J[rest]
+        out[rest] = model.mu + model.b_user[Ir] + model.b_item[Jr]
+        step = _chunk_rows(model.spec.r)
+        for s in range(0, rest.size if model.uncovered == "cross" else 0,
+                       step):
+            Ic, Jc = Ir[s:s + step], Jr[s:s + step]
+            su = np.zeros((Ic.size, model.spec.r))
+            sv = np.zeros((Ic.size, model.spec.r))
+            n_a = np.zeros(Ic.size, dtype=np.int64)
+            n_b = np.zeros(Ic.size, dtype=np.int64)
+            for rp, cp, pair in zip(rpos, cpos, model.pairs):
+                li, lj = rp[Ic], cp[Jc]
+                a, b = li >= 0, lj >= 0
+                su[a] += pair.U[li[a]]
+                sv[b] += pair.V[lj[b]]
+                n_a += a
+                n_b += b
+            n = n_a * n_b
+            ok = n > 0
+            chunk = rest[s:s + step]
+            out[chunk[ok]] = np.einsum("ij,ij->i", su[ok], sv[ok]) / n[ok]
+    return np.clip(out, *model.value_range), covered, count
+
+
+def _reference_trees(seed):
+    """A matrix and a tree of every kind, plus the hand-built nested tree
+    (cells covered by one, two and all three leaves) and a one-leaf tree."""
+    rng = np.random.default_rng(1200 + seed)
+    sizes = [(int(rng.integers(4, 10)), int(rng.integers(4, 10)))
+             for _ in range(int(rng.integers(2, 5)))]
+    m = planted_blocks(rng, sizes, 0.6, density_cross=0.05,
+                       bridge_rows=int(rng.integers(1, 3)))
+    target = min(1.0, 2.5 * m.nnz / m.area)
+    n = m.n_rows + m.n_cols
+    comms = [{0, *rng.choice(n, n // 3).tolist()},
+             {1, *rng.choice(n, n // 3).tolist()}]
+    yield m, bbdf_permute(m, target, seed=seed)
+    yield m, abbdf_permute(m, target, seed=seed)
+    yield m, balanced_permute(m, target, seed=seed)[0]
+    yield m, community_tree(m, [comms[0] - {1}, comms[1] - {0}])
+    yield m, single_leaf_tree(m)
+    nested = nested_matrix(rng)
+    yield nested, nested_tree(nested)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predict_many_equals_the_per_block_reference(seed):
+    spec = replace(SPEC, r=60, max_iters=3)
+    rng = np.random.default_rng(seed)
+    kinds = set()
+    for m, tree in _reference_trees(seed):
+        fitted = lmf_fit(tree, m, spec)
+        I, J = np.divmod(np.arange(m.n_rows * m.n_cols), m.n_cols)
+        long = rng.integers(0, m.n_rows * m.n_cols, _chunk_rows(60) * 2 + 5)
+        user = rng.integers(m.n_rows)
+        batches = [(I, J), np.divmod(long, m.n_cols),
+                   (np.full(m.n_cols, user), np.arange(m.n_cols)),
+                   (np.empty(0, dtype=int), np.empty(0, dtype=int))]
+        for uncovered in UNCOVERED:
+            model = LMFModel(fitted.tree, fitted.pairs, fitted.mu,
+                             fitted.b_user, fitted.b_item, fitted.spec,
+                             fitted.value_range, uncovered=uncovered)
+            for Ib, Jb in batches:
+                pred, covered = model.predict_many(Ib, Jb)
+                want, want_covered, _ = _predict_reference(model, Ib, Jb)
+                assert np.array_equal(pred, want), (tree.mode, uncovered)
+                assert np.array_equal(covered, want_covered)
+        counts = _predict_reference(model, I, J)[2]
+        assert [model.coverage_count(i, j) for i, j in zip(I, J)] == \
+            counts.tolist()
+        kinds.update(counts.tolist())
+    assert {0, 1, 2, 3} <= kinds
+
+
+@pytest.mark.parametrize("uncovered", UNCOVERED)
+def test_factors_are_held_once(tmp_path, uncovered):
+    rng = np.random.default_rng(14)
+    m = nested_matrix(rng)
+    model = lmf_fit(nested_tree(m), m, SPEC, uncovered=uncovered)
+    model.save(tmp_path / "model")
+    for each in (model, LMFModel.load(tmp_path / "model")):
+        assert sum(p.U.size for p in each.pairs) == each._U.size
+        assert sum(p.V.size for p in each.pairs) == each._V.size
+        for pair in each.pairs:
+            assert np.shares_memory(pair.U, each._U)
+            assert np.shares_memory(pair.V, each._V)
+        # a bias model builds no cross sums
+        assert (each._cross is None) == (uncovered == "bias")
 
 
 def _saved_model(tmp_path):
