@@ -713,43 +713,29 @@ def community_tree(m, communities):
     exactly the entries joining two different exclusive sets, and it is
     empty precisely when no such cross-community edges exist.
     """
-    communities = [set(c) for c in communities]
     n = m.n_rows + m.n_cols
+    communities = [np.unique(np.fromiter(c, dtype=np.int64))
+                   for c in communities]
     for i, c in enumerate(communities):
-        if not c:
+        if not c.size:
             raise ConfigError(f"community {i} is empty")
-        others = set().union(*(communities[j] for j in range(len(communities))
-                               if j != i)) if len(communities) > 1 else set()
-        if not (c - others):
-            raise ConfigError(f"community {i} has no exclusive node")
-        if any(v < 0 or v >= n for v in c):
+        if c[0] < 0 or c[-1] >= n:
             raise ShapeError("community node id out of range")
+    count = np.bincount(np.concatenate([np.empty(0, np.int64), *communities]),
+                        minlength=n)
+    own = [c[count[c] == 1] for c in communities]
+    for i, c in enumerate(own):
+        if not c.size:
+            raise ConfigError(f"community {i} has no exclusive node")
 
-    covered = set().union(*communities)
-    counts = {}
-    for c in communities:
-        for v in c:
-            counts[v] = counts.get(v, 0) + 1
-    shared = {v for v, k in counts.items() if k > 1}
-    uncovered = set(range(n)) - covered
-    border = shared | uncovered
-
-    def split_rc(nodes):
-        arr = np.array(sorted(nodes), dtype=np.int64)
-        return arr[arr < m.n_rows], arr[arr >= m.n_rows] - m.n_rows
-
+    full = m.full_view()
     root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols), path=())
-    root.row_border, root.col_border = split_rc(border)
-
-    children = []
-    for c in communities:
-        excl = c - border
-        r, cc = split_rc(excl)
-        children.append(SubmatrixView(m, r, cc))
-    children = _order_views(children)
-    for i, ch in enumerate(children):
-        root.children.append(BBDFNode(ch.rows, ch.cols, path=(i,)))
-
+    root.row_border, root.col_border = _split_nodes(full,
+                                                    np.flatnonzero(count != 1))
+    children = _order_views([SubmatrixView(m, *_split_nodes(full, c))
+                             for c in own])
+    root.children = [BBDFNode(ch.rows, ch.cols, path=(i,))
+                     for i, ch in enumerate(children)]
     root.dropped = _cross_entries(root.children, m, np.arange(m.nnz))
 
     return BBDFTree(root, "abbdf", 0, 1.0, matrix=m)

@@ -112,7 +112,7 @@ def cmd_fit(args):
     given = {name: getattr(args, name) for _, name, _ in _SPEC_FLAGS
              if getattr(args, name) is not None}
     spec = FactorizerSpec(algorithm=_ALGO_NAMES[args.algo], seed=args.seed,
-                          **given).validate()
+                          **given)
     model = lmf_fit(tree, m, spec, threads=args.threads,
                     uncovered=args.uncovered)
     model.save(args.out)

@@ -14,12 +14,12 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .bbdf import PERMUTE_MODES, _audit, _permute
+from .bbdf import PERMUTE_MODES, BBDFTree, _audit, _permute
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -28,7 +28,6 @@ from .errors import (
     error_context,
 )
 from .factorize import (
-    FactorizerSpec,
     _dots,
     _is_number,
     factorize,
@@ -147,11 +146,6 @@ def _stage(name, fold, times):
     times.setdefault(name, []).append(time.perf_counter() - t0)
 
 
-def _spec_from_config(config):
-    names = {f.name for f in fields(FactorizerSpec)}
-    return spec_from_dict({k: v for k, v in config.items() if k in names})
-
-
 def run_benchmark(config):
     """Run the cross-validated protocol described by ``config``.
 
@@ -160,13 +154,17 @@ def run_benchmark(config):
     ``both``). Optional: ``target_density`` (lmf), ``permute_mode``
     (``balanced`` default, or ``bbdf``/``abbdf``), ``folds`` (5), ``seed``
     (0), ``threads`` (1), ``uncovered`` policy, and any FactorizerSpec
-    field. ``trees`` (in-memory only) supplies one precomputed reordering
-    per fold so several runs over the same folds can share the permute
-    work. Test pairs whose user or item has no training entry are served
-    by the damped bias fallback and counted in ``fallback_fraction``.
+    field; any other key raises :class:`SpecError` naming it. ``trees``
+    (in-memory only) is a list of one precomputed reordering per fold so
+    several runs over the same folds can share the permute work. Test
+    pairs whose user or item has no training entry are served by the
+    damped bias fallback and counted in ``fallback_fraction``.
     ``dump_predictions``, a path, receives one ``user item rating
     prediction`` line per test entry, in fold order.
     """
+    spec = spec_from_dict({k: v for k, v in config.items() if k not in (
+        "input", "matrix", "mode", "target_density", "permute_mode", "folds",
+        "threads", "uncovered", "trees", "dump_predictions")})
     mode = config.get("mode", "both")
     if mode not in ("baseline", "lmf", "both"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -183,7 +181,6 @@ def run_benchmark(config):
     dump = config.get("dump_predictions")
     if dump is not None and not isinstance(dump, (str, os.PathLike)):
         raise ConfigError(f"dump_predictions must be a path, got {dump!r}")
-    spec = _spec_from_config(config)
     clamp = m.value_range()
     plan = kfold_split(m, folds, seed)
 
@@ -192,8 +189,11 @@ def run_benchmark(config):
     permute_mode = config.get("permute_mode", next(iter(PERMUTE_MODES)))
     target = config.get("target_density")
     shared_trees = config.get("trees")
-    if shared_trees is not None and len(shared_trees) != folds:
-        raise ConfigError("trees must supply one reordering per fold")
+    if shared_trees is not None and not (
+            isinstance(shared_trees, list) and len(shared_trees) == folds
+            and all(isinstance(t, BBDFTree) for t in shared_trees)):
+        raise ConfigError(f"trees must be a list of {folds} BBDFTrees, one "
+                          "per fold")
     if "lmf" in arms and target is None and shared_trees is None:
         raise ConfigError("lmf mode needs a target_density")
 

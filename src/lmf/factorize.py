@@ -57,6 +57,7 @@ class FactorizerSpec:
     Only the fields relevant to ``algorithm`` are consulted: ``reg`` for
     svd_als/nmf, ``reg_user``/``reg_item`` for pmf_sgd, ``margin_c`` and
     ``levels`` for mmmf_fast, ``learning_rate`` for the SGD algorithms.
+    Construction, and so ``dataclasses.replace``, runs :meth:`validate`.
     """
 
     algorithm: str
@@ -70,6 +71,9 @@ class FactorizerSpec:
     convergence_tol: float = 1e-5
     seed: int = 0
     levels: tuple = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         """Return self, or raise :class:`SpecError` for an unknown
@@ -402,7 +406,6 @@ def factorize(m, spec, init=None, sample_order=None, iterate_hook=None):
     fixed spec, whose seed must be non-negative.
     """
     m = _resolve_matrix(m)
-    spec.validate()
     if spec.seed < 0:
         raise ConfigError(f"factorize needs a non-negative seed, got {spec.seed}")
     if m.nnz == 0:
@@ -443,7 +446,6 @@ def objective_value(m, pair, spec):
     """The training objective at the given factors (loss over observed
     entries plus the algorithm's regularizer)."""
     m = _resolve_matrix(m)
-    spec.validate()
     if pair.U.shape[0] != m.n_rows or pair.V.shape[0] != m.n_cols:
         raise ShapeError("factor dimensions do not match the matrix")
     return _TABLE[spec.algorithm].objective(m, spec, pair.U, pair.V,
@@ -536,4 +538,4 @@ def spec_from_dict(d):
     d = dict(d)
     if isinstance(d.get("levels"), list):
         d["levels"] = tuple(d["levels"])
-    return FactorizerSpec(**d).validate()
+    return FactorizerSpec(**d)

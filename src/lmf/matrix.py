@@ -372,13 +372,14 @@ def load_ratings(path):
     by tabs or runs of spaces; a trailing timestamp field is ignored and
     lines starting with ``#`` are comments. Opaque ids are mapped to dense
     indices in first-appearance order and kept as labels. A short line, a
-    rating that is not a finite number, a repeated pair or bytes that are
-    not UTF-8 raise an :class:`LMFError` naming the file and line.
+    rating that is not a number or bytes that are not UTF-8 raise, while
+    parsing, an :class:`LMFError` naming the file and line; then the
+    earliest line with a repeated pair or a non-finite rating, both of
+    which the matrix finds, is named.
     """
     row_ids: dict[str, int] = {}
     col_ids: dict[str, int] = {}
     rows, cols, vals = [], [], []
-    seen = set()
 
     for lineno, fields in _records(path, 3):
         user, item, raw = fields[0], fields[1], fields[2]
@@ -389,10 +390,6 @@ def load_ratings(path):
                                     f"rating {raw!r} is not numeric") from None
         i = row_ids.setdefault(user, len(row_ids))
         j = col_ids.setdefault(item, len(col_ids))
-        if (i, j) in seen:
-            raise DuplicateEntryError(
-                f"{path}:{lineno}: duplicate rating for user {user!r}, item {item!r}")
-        seen.add((i, j))
         rows.append(i)
         cols.append(j)
         vals.append(value)
@@ -404,11 +401,16 @@ def load_ratings(path):
             len(row_ids), len(col_ids), rows, cols, vals,
             row_labels=list(row_ids), col_labels=list(col_ids),
         )
-    except RatingFormatError:
-        # the matrix found a non-finite rating; only now look for its line
+    except (DuplicateEntryError, RatingFormatError):
+        # only now that the matrix found a fault, look for its line
+        first = {}
         for lineno, (user, item, raw, *_) in _records(path, 3):
             if not np.isfinite(float(raw)):
                 raise RatingFormatError(
                     path, lineno, f"non-finite rating {raw!r} for user "
                     f"{user!r}, item {item!r}") from None
+            if first.setdefault((user, item), lineno) != lineno:
+                raise DuplicateEntryError(
+                    f"{path}:{lineno}: duplicate rating for user {user!r}, "
+                    f"item {item!r}") from None
         raise

@@ -93,7 +93,9 @@ class LMFModel:
     """One factor pair per leaf of ``tree``, in tree order, over the rows
     and columns of :func:`assembled_indices`, plus what stitching needs:
     what :meth:`load` reads back, and ``timings`` when fitted. Each
-    ``pairs[k].U`` (``.V``) is a view into the stacked ``_U`` (``_V``)."""
+    ``pairs[k].U`` (``.V``) is a view into the stacked ``_U`` (``_V``).
+    Parts whose shapes do not fit the tree and ``spec.r`` raise
+    :class:`ShapeError`; a block is named by its file in :meth:`save`."""
 
     def __init__(self, tree, pairs, mu, b_user, b_item, spec, value_range,
                  timings=None, uncovered=UNCOVERED[0]):
@@ -101,6 +103,18 @@ class LMFModel:
         if len(pairs) != len(self.block_rows):
             raise ShapeError(f"{len(pairs)} factor pairs for a tree with "
                              f"{len(self.block_rows)} leaves")
+        for k, (p, rows, cols) in enumerate(
+                zip(pairs, self.block_rows, self.block_cols)):
+            want_u, want_v = (rows.size, spec.r), (cols.size, spec.r)
+            if p.U.shape != want_u or p.V.shape != want_v:
+                raise ShapeError(f"block_{k:04d}.fac: factors U {p.U.shape} "
+                                 f"and V {p.V.shape}, expected {want_u} and "
+                                 f"{want_v}")
+        if np.shape(b_user) != (tree.n_rows,) or \
+                np.shape(b_item) != (tree.n_cols,):
+            raise ShapeError(f"biases b_user {np.shape(b_user)} and b_item "
+                             f"{np.shape(b_item)}, expected ({tree.n_rows},) "
+                             f"and ({tree.n_cols},)")
         _check_uncovered(uncovered)
         self.tree, self.mu, self.b_user, self.b_item = tree, mu, b_user, b_item
         self.spec, self.value_range = spec, value_range
@@ -244,12 +258,12 @@ class LMFModel:
             raise ShapeError(f"{path}: 'uncovered' is {uncovered!r}, not one "
                              f"of {UNCOVERED}")
         spec = spec_from_dict(manifest["spec"])
-        leaves = list(assembled_indices(tree))
-        if manifest["n_blocks"] != len(leaves):
+        n_leaves = len(tree.leaves())
+        if manifest["n_blocks"] != n_leaves:
             raise ShapeError(f"manifest lists {manifest['n_blocks']} blocks, "
-                             f"the tree has {len(leaves)} leaves")
+                             f"the tree has {n_leaves} leaves")
         pairs = []
-        for k, (_, rows, cols) in enumerate(leaves):
+        for k in range(n_leaves):
             path = os.path.join(directory, f"block_{k:04d}.fac")
             pair, block_spec = load_factors(path)
             if block_spec != spec:
@@ -257,11 +271,6 @@ class LMFModel:
                 fields = [f for f in want if want[f] != got[f]]
                 raise ShapeError(f"{path}: sidecar spec differs from the "
                                  f"manifest spec in {', '.join(fields)}")
-            want_u, want_v = (rows.size, spec.r), (cols.size, spec.r)
-            if pair.U.shape != want_u or pair.V.shape != want_v:
-                raise ShapeError(f"{path}: factors U {pair.U.shape} and V "
-                                 f"{pair.V.shape}, expected {want_u} and "
-                                 f"{want_v}")
             pairs.append(pair)
         path = os.path.join(directory, "biases.bin")
         with open(path, "rb") as fh:
@@ -276,8 +285,9 @@ class LMFModel:
             raise ShapeError(f"{path}: a bias is not finite")
         b_user = b[:tree.n_rows].copy()
         b_item = b[tree.n_rows:tree.n_rows + tree.n_cols].copy()
-        return cls(tree, pairs, mu, b_user, b_item, spec, tuple(value_range),
-                   uncovered=uncovered)
+        with error_context(f"{directory}:"):
+            return cls(tree, pairs, mu, b_user, b_item, spec,
+                       tuple(value_range), uncovered=uncovered)
 
 
 # numpy's bundled OpenBLAS exports the 64-bit-integer name, scipy's (which
@@ -347,7 +357,6 @@ def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
     _check_uncovered(uncovered)
     if not (_is_number(threads, Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    spec.validate()
     blocks = assemble_blocks(tree, m)
     # the model predicts by label, so its tree takes the labels of ``m``,
     # which has just passed the tree's check

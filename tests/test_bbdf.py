@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ from lmf import (
     permutation_from_tree,
 )
 from lmf.bbdf import assembled_indices
-from lmf.errors import DegenerateBlockError, NoSplitError, ShapeError
+from lmf.errors import DegenerateBlockError, LMFError, NoSplitError, ShapeError
 from lmf.matrix import _positions
 
 from conftest import (block_diag_matrix, figure_bridge_matrix, planted_blocks,
@@ -802,3 +803,79 @@ def test_community_tree_rejects_degenerate_assignments():
         community_tree(m, [{0, 2}, set()])
     with pytest.raises(ValueError):
         community_tree(m, [{0, 2}, {0, 2}])  # no exclusive node
+    for bad in ({0, 4}, {-1, 0}):
+        with pytest.raises(ShapeError, match="out of range"):
+            community_tree(m, [bad, {1, 3}])
+
+
+def _community_reference(m, communities):
+    """``community_tree`` over Python sets: the border is the union of the
+    shared and the uncovered nodes, each community's block its nodes off
+    the border."""
+    from lmf.bbdf import _cross_entries, _order_views
+    from lmf.errors import ConfigError
+
+    communities = [set(c) for c in communities]
+    n = m.n_rows + m.n_cols
+    for i, c in enumerate(communities):
+        if not c:
+            raise ConfigError(f"community {i} is empty")
+        others = set().union(*(communities[j] for j in range(len(communities))
+                               if j != i)) if len(communities) > 1 else set()
+        if not (c - others):
+            raise ConfigError(f"community {i} has no exclusive node")
+        if any(v < 0 or v >= n for v in c):
+            raise ShapeError("community node id out of range")
+    covered = set().union(*communities)
+    counts = {}
+    for c in communities:
+        for v in c:
+            counts[v] = counts.get(v, 0) + 1
+    shared = {v for v, k in counts.items() if k > 1}
+    border = shared | (set(range(n)) - covered)
+
+    def split_rc(nodes):
+        arr = np.array(sorted(nodes), dtype=np.int64)
+        return arr[arr < m.n_rows], arr[arr >= m.n_rows] - m.n_rows
+
+    root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols), path=())
+    root.row_border, root.col_border = split_rc(border)
+    children = _order_views([SubmatrixView(m, *split_rc(c - border))
+                             for c in communities])
+    for i, ch in enumerate(children):
+        root.children.append(BBDFNode(ch.rows, ch.cols, path=(i,)))
+    root.dropped = _cross_entries(root.children, m, np.arange(m.nnz))
+    return BBDFTree(root, "abbdf", 0, 1.0, matrix=m)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_community_tree_matches_set_reference(seed):
+    rng = np.random.default_rng(1600 + seed)
+    if seed % 2:
+        m = random_sparse(rng, int(rng.integers(6, 30)),
+                          int(rng.integers(6, 30)), 0.2)
+    else:
+        sizes = [(int(rng.integers(3, 10)), int(rng.integers(3, 10)))
+                 for _ in range(int(rng.integers(2, 5)))]
+        m = planted_blocks(rng, sizes, 0.6, density_cross=0.05)
+    comms = _random_communities(rng, m)
+    assert (community_tree(m, comms).to_json()
+            == _community_reference(m, comms).to_json())
+
+
+def test_community_tree_matches_set_reference_on_fixed_cases():
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3),
+             (0, 3)]
+    m = RatingMatrix(4, 4, [p[0] for p in pairs], [p[1] for p in pairs],
+                     np.ones(len(pairs)))
+    for comms in ([{0, 1, 4, 5}, {1, 2, 3, 6, 7}], [{0, 4}, {1, 5}, {2, 3}],
+                  [{0}, {7}], [list(range(8))], [{3, 2, 6, 7}, {1, 0, 5}],
+                  []):
+        assert (community_tree(m, comms).to_json()
+                == _community_reference(m, comms).to_json())
+    for bad in ([{0, 4}, set()], [{0, 4}, {0, 4}], [{0, 8}, {1}],
+                [{-1, 0}, {1}]):
+        with pytest.raises(LMFError) as want:
+            _community_reference(m, bad)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            community_tree(m, bad)

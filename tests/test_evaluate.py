@@ -811,3 +811,25 @@ def test_cli_permute_modes_are_the_mode_table():
     mode = next(a for a in sub.choices["permute"]._actions if a.dest == "mode")
     assert list(mode.choices) == list(PERMUTE_MODES)
     assert mode.default == "balanced"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("permute_mod", "abbdf", "permute_mod"),
+    ("trees", 5, "trees must be a list of 2 BBDFTrees"),
+    ("trees", [{}, {}], "trees must be a list of 2 BBDFTrees"),
+])
+def test_bench_rejects_an_unknown_key_and_trees_that_are_not_trees(
+        tmp_path, capsys, key, value, message):
+    from lmf.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=message):
+        run_benchmark(_config(_bench_matrix(), folds=2, **{key: value}))
+    data = tmp_path / "ratings.tsv"
+    _write_ratings_file(data, _bench_matrix())
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"input": str(data), "algorithm": "svd_als",
+                                  "mode": "lmf", "target_density": 0.4,
+                                  "folds": 2, "r": 2, "max_iters": 2,
+                                  key: value}))
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from lmf import (
     objective_value,
     save_factors,
 )
-from lmf.errors import DivergenceError, DomainError, EmptyInputError, ShapeError
+from lmf.errors import (DivergenceError, DomainError, EmptyInputError,
+                        ShapeError, SpecError)
 from lmf.factorize import _dots, _sgd_levels
 
 
@@ -190,6 +192,14 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=field):
             FactorizerSpec(algorithm="pmf_sgd", r=2, **{field: value}).validate()
     FactorizerSpec(algorithm="pmf_sgd", r=2, convergence_tol=0).validate()
+
+
+def test_invalid_spec_cannot_be_built_or_replaced():
+    with pytest.raises(SpecError, match="r must be >= 1"):
+        FactorizerSpec("svd_als", r=0)
+    valid = FactorizerSpec("svd_als", r=2)
+    with pytest.raises(SpecError, match="reg must be finite"):
+        replace(valid, reg=-1)
 
 
 # -- prediction ---------------------------------------------------------------------

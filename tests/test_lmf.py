@@ -629,15 +629,35 @@ def test_predict_rejects_inputs_that_do_not_pair_up(call, args):
     assert err.value.exit_code == 2
 
 
+def _library_modules():
+    """``(file name, parsed module)`` per source file of the library."""
+    paths = sorted((Path(__file__).parents[1] / "src" / "lmf").glob("*.py"))
+    assert len(paths) >= 9
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in paths]
+
+
 def test_library_has_no_assert_and_no_debug_switch():
     # ``python -O`` strips both, so either would give the library a second
     # behaviour
-    paths = sorted((Path(__file__).parents[1] / "src" / "lmf").glob("*.py"))
-    assert len(paths) >= 9
-    found = [f"{path.name}:{node.lineno}" for path in paths
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    found = [f"{name}:{node.lineno}" for name, module in _library_modules()
+             for node in ast.walk(module)
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
+
+
+def test_library_validates_a_spec_only_where_it_is_built():
+    # FactorizerSpec.__post_init__ runs validate(), so a spec that exists
+    # is valid and no caller checks it again
+    found = [f"{name}:{node.lineno}" for name, module in _library_modules()
+             for top in module.body
+             if not (isinstance(top, ast.ClassDef)
+                     and top.name == "FactorizerSpec")
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "validate"]
     assert found == []
 
 
@@ -711,6 +731,32 @@ def test_model_takes_its_blocks_from_the_tree():
             LMFModel(tree, pairs, *args)
     with pytest.raises(ConfigError, match="'near'"):
         LMFModel(tree, model.pairs, *args, uncovered="near")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("U one row short", r"block_0001\.fac: factors U \(2, 3\)"),
+    ("wrong r", r"block_0000\.fac: .* expected \(3, 4\) and \(3, 4\)"),
+    ("b_user one short", r"b_user \(4,\) and b_item \(5,\), expected \(5,\)"),
+    ("b_item one long", r"b_user \(5,\) and b_item \(6,\), expected \(5,\)"),
+])
+def test_hand_built_model_checks_its_parts(fault, message):
+    m = bordered_matrix(np.random.default_rng(13))
+    tree = bordered_tree(m)
+    model = lmf_fit(tree, m, SPEC)
+    pairs, spec = list(model.pairs), SPEC
+    b_user, b_item = model.b_user, model.b_item
+    if fault == "U one row short":
+        pairs[1] = FactorPair(pairs[1].U[1:], pairs[1].V)
+    elif fault == "wrong r":
+        spec = replace(SPEC, r=SPEC.r + 1)
+    elif fault == "b_user one short":
+        b_user = b_user[:-1]
+    else:
+        b_item = np.append(b_item, 0.0)
+    with pytest.raises(ShapeError, match=message) as err:
+        LMFModel(tree, pairs, model.mu, b_user, b_item, spec,
+                 model.value_range)
+    assert err.value.exit_code == 2
 
 
 def test_public_surface():

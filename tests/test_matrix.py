@@ -43,9 +43,24 @@ def test_load_single_line(tmp_path):
 
 def test_load_duplicate_pair_rejected(tmp_path):
     p = tmp_path / "r.tsv"
-    p.write_text("a b 5\na b 5\n")
-    with pytest.raises(DuplicateEntryError):
+    p.write_text("a b 5\n# a comment\nc b 4\na b 5\n")
+    with pytest.raises(DuplicateEntryError) as err:
         load_ratings(p)
+    assert str(err.value) == f"{p}:4: duplicate rating for user 'a', item 'b'"
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("text, lineno, error", [
+    ("a b 5\nc d nan\na b 4\n", 2, RatingFormatError),
+    ("a b 5\nc d 1\na b 4\nc e inf\n", 3, DuplicateEntryError),
+])
+def test_load_names_the_earlier_of_a_repeat_and_a_non_finite_rating(
+        tmp_path, text, lineno, error):
+    p = tmp_path / "r.tsv"
+    p.write_text(text)
+    with pytest.raises(error) as err:
+        load_ratings(p)
+    assert str(err.value).startswith(f"{p}:{lineno}: ")
 
 
 def test_load_malformed_line_reports_lineno(tmp_path):
