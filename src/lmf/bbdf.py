@@ -706,8 +706,9 @@ def community_tree(m, communities):
     """Build the reordering implied by an overlapping community assignment.
 
     ``communities`` are sets of bipartite node ids (rows ``0..n_rows-1``,
-    columns offset by ``n_rows``). Every community must be non-empty and
-    own at least one exclusive node. Nodes shared between communities or
+    columns offset by ``n_rows``). There must be at least one, and each
+    must be non-empty and own at least one exclusive node (else
+    :class:`ConfigError`). Nodes shared between communities or
     belonging to none are permuted to the root borders; each community's
     exclusive node set becomes one diagonal block. The dropped set is then
     exactly the entries joining two different exclusive sets, and it is
@@ -716,6 +717,8 @@ def community_tree(m, communities):
     n = m.n_rows + m.n_cols
     communities = [np.unique(np.fromiter(c, dtype=np.int64))
                    for c in communities]
+    if not communities:
+        raise ConfigError("no community given")
     for i, c in enumerate(communities):
         if not c.size:
             raise ConfigError(f"community {i} is empty")

@@ -67,17 +67,23 @@ def cmd_permute(args):
     tree = _permute(m, args.mode, args.target_density, seed=args.seed)
     tree.save(args.out)
     counts = check_tree(tree, m)
-    leaves, dropped = counts["leaves"], counts["dropped"]
-    share = dropped / m.nnz  # load_ratings refuses a log with no entries
-    print(f"{args.mode}: {leaves} blocks, {dropped} of {m.nnz} entries "
-          f"({share:.1%}) dropped -> {args.out}")
-    if leaves == 1:
+    print(f"{args.mode}: {counts['leaves']} blocks, {counts['dropped']} of "
+          f"{m.nnz} entries ({counts['dropped'] / m.nnz:.1%}) dropped -> "
+          f"{args.out}")
+    _warn_degenerate(counts, m.nnz)
+    return 0
+
+
+def _warn_degenerate(counts, nnz):
+    """Warn on stderr when ``check_tree``'s ``counts`` show a tree of one
+    leaf or one that drops entries; ``nnz`` is the matrix's entry count."""
+    if counts["leaves"] == 1:
         print("warning: the tree is one leaf; a fit on it is the whole-matrix "
               "fit", file=sys.stderr)
-    if dropped:
-        print(f"warning: {share:.1%} of the entries lie in no block; no "
-              "block trains on them", file=sys.stderr)
-    return 0
+    if counts["dropped"]:
+        # load_ratings refuses a log with no entries
+        print(f"warning: {counts['dropped'] / nnz:.1%} of the entries lie in "
+              "no block; no block trains on them", file=sys.stderr)
 
 
 def cmd_analyze(args):
@@ -104,8 +110,10 @@ def cmd_analyze(args):
 
 def cmd_fit(args):
     m = load_ratings(args.input)
+    counts = None
     if args.tree:
         tree = BBDFTree.load(args.tree)
+        counts = check_tree(tree, m)
     else:
         root = BBDFNode(np.arange(m.n_rows), np.arange(m.n_cols))
         tree = BBDFTree(root, "bbdf", args.seed, 1.0, matrix=m)
@@ -118,6 +126,8 @@ def cmd_fit(args):
     model.save(args.out)
     t = model.timings
     print(f"fitted {model.n_blocks} block(s) in {t['fit_wall']:.2f}s -> {args.out}")
+    if counts:  # the one-leaf whole-matrix fit without --tree is as asked
+        _warn_degenerate(counts, m.nnz)
     return 0
 
 

@@ -61,21 +61,16 @@ class BipartiteGraph:
     def from_entries(cls, n_rows, n_cols, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        n = n_rows + n_cols
         edge_c = cols + n_rows
-        src = np.concatenate([rows, edge_c])
-        dst = np.concatenate([edge_c, rows])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
         # a repeated entry is one edge: FM's vectorized gain update needs
         # every neighbour once per CSR row
-        keep = np.ones(src.size, dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        if not keep.all():
-            src, dst = src[keep], dst[keep]
-            rows, edge_c = src[src < n_rows], dst[src < n_rows]
-        xadj = np.searchsorted(src, np.arange(n + 1))
-        return cls(n_rows, n_cols, rows, edge_c, xadj, dst)
+        xadj, adjncy, _ = _group_pairs(np.concatenate([rows, edge_c]),
+                                       np.concatenate([edge_c, rows]),
+                                       n_rows + n_cols)
+        if adjncy.size < 2 * rows.size:  # the edges once each, CSR order
+            rows = np.repeat(np.arange(n_rows), np.diff(xadj[:n_rows + 1]))
+            edge_c = adjncy[:rows.size]
+        return cls(n_rows, n_cols, rows, edge_c, xadj, adjncy)
 
     @property
     def n_nodes(self):
@@ -113,6 +108,10 @@ class VertexPartition:
 
 @dataclass
 class _Level:
+    """One graph of a multilevel run, in int64 CSR with edge and node
+    weights. Each row lists its neighbours once and in ascending order;
+    :func:`_heavy_edge_matching` relies on that order for its tie-break."""
+
     xadj: np.ndarray
     adjncy: np.ndarray
     adjwgt: np.ndarray
@@ -135,51 +134,83 @@ def _part_cap(total_w, max_vw, tol):
                total_w // 2 + int(max_vw))
 
 
+def _group_pairs(src, dst, n, weights=None):
+    """CSR ``(xadj, adjncy, summed weights)`` of the node pairs ``(src,
+    dst)`` over ``n`` nodes: each row's neighbours ascending, a repeated
+    pair once, its ``weights`` summed (None without ``weights``).
+
+    One sort of the int64 keys ``src * n + dst`` orders the pairs; the
+    weights ride in the keys' low bits when they fit, and are otherwise
+    grouped by a stable argsort of the keys."""
+    key = src * n + dst
+    if weights is not None:
+        shift = int(weights.sum()).bit_length()
+        if ((n * n) << shift) < 2 ** 63:
+            key <<= shift
+            key |= weights
+            key.sort()
+            weights = key & ((1 << shift) - 1)
+            key >>= shift
+        else:
+            order = np.argsort(key, kind="stable")
+            key, weights = key[order], weights[order]
+    else:
+        key.sort()
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    pairs = key[starts]
+    xadj = np.searchsorted(pairs, np.arange(n + 1) * n)
+    if weights is not None:
+        weights = np.add.reduceat(weights, starts) if starts.size else weights
+    return xadj, pairs % n, weights
+
+
 def _heavy_edge_matching(level, rng):
     n = level.n
-    match = np.full(n, -1, dtype=np.int64)
+    match = np.arange(n)  # a node left unmatched is its own match
     # visit light nodes first (random within a degree class) so hubs stay
     # free to pair among themselves; helps heavy-tailed graphs a lot
     deg = np.diff(level.xadj)
-    visit = np.lexsort((rng.permutation(n), deg))
-    xadj, adjncy, adjwgt = level.xadj, level.adjncy, level.adjwgt
+    visit = np.lexsort((rng.permutation(n), deg)).tolist()
+    xadj, adjncy, adjwgt = level.xadj.tolist(), level.adjncy, level.adjwgt
+    free = np.ones(n, dtype=bool)
+    taken = [False] * n  # ~free as plain bools, quick to test one at a time
     for v in visit:
-        if match[v] >= 0:
+        if taken[v]:
             continue
+        taken[v], free[v] = True, False
         lo, hi = xadj[v], xadj[v + 1]
-        nbrs = adjncy[lo:hi]
-        if nbrs.size:
-            free = match[nbrs] < 0
-            if free.any():
-                cand = nbrs[free]
-                wts = adjwgt[lo:hi][free]
-                # heaviest edge first, lowest index on ties
-                best = cand[np.lexsort((cand, -wts))[0]]
-                match[v] = best
-                match[best] = v
-                continue
-        match[v] = v
+        if lo < hi:
+            nbrs = adjncy[lo:hi]
+            # edge weights are positive, so a zero marks a matched
+            # neighbour; rows ascend, so argmax's first maximum takes the
+            # heaviest edge, lowest index on ties
+            wts = adjwgt[lo:hi] * free[nbrs]
+            k = wts.argmax()
+            if wts[k]:
+                u = int(nbrs[k])
+                match[v], match[u] = u, v
+                taken[u], free[u] = True, False
     return match
 
 
 def _contract(level, match):
     n = level.n
     rep = np.minimum(np.arange(n), match)
-    _, cmap = np.unique(rep, return_inverse=True)
-    nc = int(cmap.max()) + 1
+    is_rep = rep == np.arange(n)
+    cmap = (np.cumsum(is_rep) - 1)[rep]
+    nc = int(is_rep.sum())
     vwgt_c = np.bincount(cmap, weights=level.vwgt, minlength=nc).astype(np.int64)
 
     deg = np.diff(level.xadj)
-    src = np.repeat(np.arange(n), deg)
-    cu = cmap[src]
+    cu = np.repeat(cmap, deg)
     cv = cmap[level.adjncy]
     keep = cu != cv
-    # CSR sums parallel edges and sorts each row's neighbours
-    adj = csr_matrix((level.adjwgt[keep], (cu[keep], cv[keep])), shape=(nc, nc))
-    adj.sum_duplicates()
-    coarse = _Level(adj.indptr.astype(np.int64), adj.indices.astype(np.int64),
-                    adj.data.astype(np.int64), vwgt_c)
-    return cmap, coarse
+    # parallel edges merge into one of summed weight
+    xadj, adjncy, adjwgt = _group_pairs(cu[keep], cv[keep], nc,
+                                        level.adjwgt[keep])
+    return cmap, _Level(xadj, adjncy, adjwgt, vwgt_c)
 
 
 def _cut_value(level, side):
@@ -256,12 +287,13 @@ def _fm_refine(level, side, tol):
         w1, n1 = int(vwgt[side == 1].sum()), int(side.sum())
         part_w, part_n = [total_w - w1, w1], [n - n1, n1]
         boundary = np.flatnonzero(external > 0)
+        sd = side.tolist()
         if dense:
-            sd = side
+            pm = 1 - 2 * side.astype(np.int64)  # +1 on side 0, -1 on side 1
             key = np.full(n, _UNSEEN)
             key[boundary] = gain[boundary]
         else:
-            sd, gain = side.tolist(), gain.tolist()
+            gain = gain.tolist()
             locked = [False] * n
             heap = [(-gain[v], v) for v in boundary.tolist()]
             heapq.heapify(heap)
@@ -281,7 +313,7 @@ def _fm_refine(level, side, tol):
                     continue
                 g = -ng
                 locked[v] = True
-            s = int(sd[v])
+            s = sd[v]
             t = 1 - s
             if part_n[s] <= 1 or part_w[t] + vw[v] > cap:
                 continue
@@ -296,8 +328,9 @@ def _fm_refine(level, side, tol):
             if dense:
                 # no CSR row repeats a neighbour, so the scatter is exact
                 nb = adjncy[lo:hi]
-                step = np.where(sd[nb] == s, w2[lo:hi], -w2[lo:hi])
-                key[nb] = gain[nb] = gain[nb] + step
+                step = pm[nb] * w2[lo:hi]
+                key[nb] = gain[nb] = gain[nb] - step if s else gain[nb] + step
+                pm[v] = 2 * s - 1
             else:
                 for e in range(lo, hi):
                     u = adj[e]

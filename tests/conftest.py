@@ -96,6 +96,36 @@ def planted_blocks(rng, sizes, density_in, density_cross=0.0, values=(1, 6),
     return RatingMatrix(n_rows, n_cols, r, c, vals)
 
 
+def ml_shaped(rng, users=943, items=1682, ratings=80_000, communities=5,
+              min_deg=16, max_deg=400, bridges=0.04, popular=0.02, cross=0.05):
+    """Rating matrix with the structure of an ML-100K training fold: users
+    and items in equal planted communities, Zipf-like item popularity,
+    log-normal (heavy-tailed) user degrees, a share of bridge users who
+    rate two communities and popular items that every community rates.
+    Ratings are uniform on 1..5; only the structure is ML-shaped."""
+    K = communities
+    user_comm = rng.permutation(np.arange(users) % K)
+    item_comm = rng.permutation(np.arange(items) % K)
+    pop = 1.0 / (rng.permutation(items) + 10.0) ** 0.9
+    law = np.where(item_comm == np.arange(K)[:, None], pop, 0.0)
+    top = np.argsort(-pop)[:round(popular * items)]
+    law[:, top] = pop[top]
+    law = ((1.0 - cross) * law / law.sum(axis=1, keepdims=True)
+           + cross * pop / pop.sum())
+    taste = law[user_comm]
+    bridge = rng.choice(users, round(bridges * users), replace=False)
+    other = (user_comm[bridge] + rng.integers(1, K, bridge.size)) % K
+    taste[bridge] = 0.5 * (taste[bridge] + law[other])
+    w = rng.lognormal(0.0, 1.0, users)
+    deg = np.minimum(min_deg + (ratings - min_deg * users) * w / w.sum(),
+                     max_deg).astype(np.int64)
+    rows = np.repeat(np.arange(users), deg)
+    cols = np.concatenate([rng.choice(items, d, replace=False, p=p)
+                           for d, p in zip(deg, taste)])
+    vals = rng.integers(1, 6, rows.size).astype(float)
+    return RatingMatrix(users, items, rows, cols, vals)
+
+
 def figure_bridge_matrix():
     """Two dense communities joined by one bridge row (R9), one bridge
     column (C7) and one cross-shopping row (R4); the unique minimum vertex

@@ -26,7 +26,8 @@ from lmf import (
     permutation_from_tree,
 )
 from lmf.bbdf import assembled_indices
-from lmf.errors import DegenerateBlockError, LMFError, NoSplitError, ShapeError
+from lmf.errors import (ConfigError, DegenerateBlockError, LMFError, NoSplitError,
+                        ShapeError)
 from lmf.matrix import _positions
 
 from conftest import (block_diag_matrix, figure_bridge_matrix, planted_blocks,
@@ -803,6 +804,8 @@ def test_community_tree_rejects_degenerate_assignments():
         community_tree(m, [{0, 2}, set()])
     with pytest.raises(ValueError):
         community_tree(m, [{0, 2}, {0, 2}])  # no exclusive node
+    with pytest.raises(ConfigError, match="no community given"):
+        community_tree(m, [])
     for bad in ({0, 4}, {-1, 0}):
         with pytest.raises(ShapeError, match="out of range"):
             community_tree(m, [bad, {1, 3}])
@@ -813,10 +816,11 @@ def _community_reference(m, communities):
     shared and the uncovered nodes, each community's block its nodes off
     the border."""
     from lmf.bbdf import _cross_entries, _order_views
-    from lmf.errors import ConfigError
 
     communities = [set(c) for c in communities]
     n = m.n_rows + m.n_cols
+    if not communities:
+        raise ConfigError("no community given")
     for i, c in enumerate(communities):
         if not c:
             raise ConfigError(f"community {i} is empty")
@@ -869,12 +873,11 @@ def test_community_tree_matches_set_reference_on_fixed_cases():
     m = RatingMatrix(4, 4, [p[0] for p in pairs], [p[1] for p in pairs],
                      np.ones(len(pairs)))
     for comms in ([{0, 1, 4, 5}, {1, 2, 3, 6, 7}], [{0, 4}, {1, 5}, {2, 3}],
-                  [{0}, {7}], [list(range(8))], [{3, 2, 6, 7}, {1, 0, 5}],
-                  []):
+                  [{0}, {7}], [list(range(8))], [{3, 2, 6, 7}, {1, 0, 5}]):
         assert (community_tree(m, comms).to_json()
                 == _community_reference(m, comms).to_json())
     for bad in ([{0, 4}, set()], [{0, 4}, {0, 4}], [{0, 8}, {1}],
-                [{-1, 0}, {1}]):
+                [{-1, 0}, {1}], []):
         with pytest.raises(LMFError) as want:
             _community_reference(m, bad)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):

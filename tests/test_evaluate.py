@@ -376,6 +376,33 @@ def test_cli_permute_says_when_a_tree_is_degenerate(tmp_path, capsys, mode,
         assert captured.err.count("\n") == 1 and warning in captured.err
 
 
+@pytest.mark.parametrize("mode, target, warning", [
+    (None, None, None),  # the whole-matrix fit, as asked
+    ("balanced", "0.4", None),
+    ("bbdf", "0.1", "warning: the tree is one leaf"),
+    ("abbdf", "0.4", "of the entries lie in no block")])
+def test_cli_fit_warns_when_its_tree_is_degenerate(tmp_path, capsys, mode,
+                                                   target, warning):
+    data, treep = tmp_path / "ratings.tsv", tmp_path / "tree.json"
+    _write_ratings_file(data, _bench_matrix())
+    fit = ["fit", "--input", str(data), "--algo", "svd", "--factors", "3",
+           "--iters", "3", "--out", str(tmp_path / "model")]
+    if mode is not None:
+        assert cli_main(["permute", "--input", str(data), "--mode", mode,
+                         "--target-density", target, "--seed", "1",
+                         "--out", str(treep)]) == 0
+        permute_err = capsys.readouterr().err
+        fit += ["--tree", str(treep)]
+    assert cli_main(fit) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("fitted ")
+    if warning is None:
+        assert captured.err == ""
+    else:
+        assert captured.err == permute_err
+        assert captured.err.count("\n") == 1 and warning in captured.err
+
+
 # at rate 0.2 the factors first overflow in the objective, at 100 already in
 # the epoch
 @pytest.mark.parametrize("rate", ["0.2", "100"])

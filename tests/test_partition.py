@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import json
@@ -8,7 +9,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import lmf.bbdf
-from lmf import balanced_permute, gpes_bisect, gpvs_bisect, partition, to_bipartite
+from lmf import (abbdf_permute, balanced_permute, bbdf_permute, check_tree,
+                 gpes_bisect, gpvs_bisect, partition, to_bipartite)
 from lmf.errors import NoSplitError, TooSmallError
 from lmf.partition import (
     BipartiteGraph,
@@ -22,7 +24,7 @@ from lmf.partition import (
     _part_cap,
 )
 
-from conftest import figure_bridge_matrix, planted_blocks
+from conftest import figure_bridge_matrix, ml_shaped, planted_blocks
 
 
 def graph(n_r, n_c, pairs):
@@ -306,21 +308,233 @@ def test_contract_equals_dense_oracle():
     one_edge = _level_from_graph(graph(1, 1, [(0, 0)]))
     cases.append((one_edge, np.array([1, 0])))
     for level, match in cases:
-        cmap, got = _contract(level, match)
-        n, nc = level.n, int(cmap.max()) + 1
-        A = np.zeros((n, n), dtype=np.int64)
-        src = np.repeat(np.arange(n), np.diff(level.xadj))
-        A[src, level.adjncy] = level.adjwgt
-        C = np.zeros((n, nc), dtype=np.int64)
-        C[np.arange(n), cmap] = 1
-        want = C.T @ A @ C
-        np.fill_diagonal(want, 0)
-        rows, cols = np.nonzero(want)
-        xadj = np.searchsorted(rows, np.arange(nc + 1))
-        for a, b in ((got.xadj, xadj), (got.adjncy, cols),
-                     (got.adjwgt, want[rows, cols]), (got.vwgt, C.T @ level.vwgt)):
-            assert a.dtype == np.int64 and np.array_equal(a, b)
+        got = _assert_contract_is_dense_product(level, match)
     assert got.n == 1 and got.adjncy.size == 0
+
+
+def _assert_contract_is_dense_product(level, match):
+    cmap, got = _contract(level, match)
+    n, nc = level.n, int(cmap.max()) + 1
+    A = np.zeros((n, n), dtype=np.int64)
+    src = np.repeat(np.arange(n), np.diff(level.xadj))
+    A[src, level.adjncy] = level.adjwgt
+    C = np.zeros((n, nc), dtype=np.int64)
+    C[np.arange(n), cmap] = 1
+    want = C.T @ A @ C
+    np.fill_diagonal(want, 0)
+    rows, cols = np.nonzero(want)
+    xadj = np.searchsorted(rows, np.arange(nc + 1))
+    for a, b in ((got.xadj, xadj), (got.adjncy, cols),
+                 (got.adjwgt, want[rows, cols]), (got.vwgt, C.T @ level.vwgt)):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+    return got
+
+
+def test_contract_of_edge_weights_near_2_to_55_equals_dense_oracle():
+    """Weights too heavy to pack beside the pair keys take the contraction
+    through its argsort grouping, which must build the same level."""
+    rng = np.random.default_rng(55)
+    for _ in range(10):
+        nr, nc = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+        pairs = {(int(rng.integers(nr)), int(rng.integers(nc)))
+                 for _ in range(3 * (nr + nc))}
+        level = _level_from_graph(graph(nr, nc, sorted(pairs)))
+        src = np.repeat(np.arange(level.n), np.diff(level.xadj))
+        lo, hi = np.minimum(src, level.adjncy), np.maximum(src, level.adjncy)
+        level.adjwgt = 2 ** 55 - (lo * level.n + hi)  # symmetric, distinct
+        match = _heavy_edge_matching(level, rng)
+        cmap, _ = _contract(level, match)
+        kept = level.adjwgt[cmap[src] != cmap[level.adjncy]]
+        n_coarse = int(cmap.max()) + 1
+        # too few bits are left beside the pair keys to pack the weights
+        assert kept.size and \
+            (n_coarse * n_coarse) << int(kept.sum()).bit_length() >= 2 ** 63
+        _assert_contract_is_dense_product(level, match)
+
+
+# -- coarsening kernels against their references ---------------------------------------
+
+def _from_entries_reference(n_rows, n_cols, rows, cols):
+    """``BipartiteGraph.from_entries`` by ``np.lexsort`` of the node pairs,
+    kept as the reference for its one-sort build."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n = n_rows + n_cols
+    edge_c = cols + n_rows
+    src = np.concatenate([rows, edge_c])
+    dst = np.concatenate([edge_c, rows])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    keep = np.ones(src.size, dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    if not keep.all():
+        src, dst = src[keep], dst[keep]
+        rows, edge_c = src[src < n_rows], dst[src < n_rows]
+    xadj = np.searchsorted(src, np.arange(n + 1))
+    return BipartiteGraph(n_rows, n_cols, rows, edge_c, xadj, dst)
+
+
+def _matching_reference(level, rng):
+    """Heavy-edge matching that sorts each node's free neighbours by weight,
+    then index, kept as the reference for the argmax pick."""
+    n = level.n
+    match = np.full(n, -1, dtype=np.int64)
+    deg = np.diff(level.xadj)
+    visit = np.lexsort((rng.permutation(n), deg))
+    xadj, adjncy, adjwgt = level.xadj, level.adjncy, level.adjwgt
+    for v in visit:
+        if match[v] >= 0:
+            continue
+        lo, hi = xadj[v], xadj[v + 1]
+        nbrs = adjncy[lo:hi]
+        if nbrs.size:
+            free = match[nbrs] < 0
+            if free.any():
+                cand = nbrs[free]
+                best = cand[np.lexsort((cand, -adjwgt[lo:hi][free]))[0]]
+                match[v] = best
+                match[best] = v
+                continue
+        match[v] = v
+    return match
+
+
+def _contract_reference(level, match):
+    """Contraction through scipy CSR, which sums parallel edges and sorts
+    each row, kept as the reference for the packed-key grouping."""
+    n = level.n
+    _, cmap = np.unique(np.minimum(np.arange(n), match), return_inverse=True)
+    nc = int(cmap.max()) + 1
+    cu = cmap[np.repeat(np.arange(n), np.diff(level.xadj))]
+    cv = cmap[level.adjncy]
+    keep = cu != cv
+    adj = csr_matrix((level.adjwgt[keep], (cu[keep], cv[keep])), shape=(nc, nc))
+    adj.sum_duplicates()
+    vwgt = np.bincount(cmap, weights=level.vwgt, minlength=nc).astype(np.int64)
+    return cmap, partition._Level(adj.indptr.astype(np.int64),
+                                  adj.indices.astype(np.int64),
+                                  adj.data.astype(np.int64), vwgt)
+
+
+def _assert_same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _coarsening_graphs(rng):
+    """``(n_rows, n_cols, rows, cols)`` of the ML-shaped matrix and of
+    seeded random graphs of more than ``COARSE_TARGET`` nodes, uniform and
+    heavy-tailed, with repeated entries."""
+    m = ml_shaped(rng)
+    graphs = [(m.n_rows, m.n_cols, m.rows, m.cols)]
+    for k in range(6):
+        nr, nc = int(rng.integers(150, 700)), int(rng.integers(150, 700))
+        nnz = int(rng.integers(2, 8)) * (nr + nc)
+        if k % 2:
+            pr = 1.0 / np.arange(3.0, nr + 3.0)
+            pc = 1.0 / np.arange(3.0, nc + 3.0)
+            rows = rng.choice(nr, nnz, p=pr / pr.sum())
+            cols = rng.choice(nc, nnz, p=pc / pc.sum())
+        else:
+            rows, cols = rng.integers(0, nr, nnz), rng.integers(0, nc, nnz)
+        graphs.append((nr, nc, rows, cols))
+    return graphs
+
+
+def test_from_entries_equals_lexsort_reference():
+    rng = np.random.default_rng(2301)
+    cases = _coarsening_graphs(rng)
+    n_rows, n_cols, rows, cols = cases[0]  # the ML-shaped matrix
+    order = rng.permutation(rows.size)
+    again = rng.choice(rows.size, 500)
+    cases += [(n_rows, n_cols, np.concatenate([rows[order], rows[again]]),
+               np.concatenate([cols[order], cols[again]])),
+              (3, 2, [], []), (2, 2, [1, 1, 0], [0, 0, 1])]
+    for n_rows, n_cols, rows, cols in cases:
+        got = BipartiteGraph.from_entries(n_rows, n_cols, rows, cols)
+        want = _from_entries_reference(n_rows, n_cols, rows, cols)
+        assert (got.n_r, got.n_c) == (want.n_r, want.n_c)
+        _assert_same_arrays((got.edge_r, got.edge_c, got.xadj, got.adjncy),
+                            (want.edge_r, want.edge_c, want.xadj, want.adjncy))
+
+
+def test_coarsening_kernels_equal_their_references():
+    """On every level that coarsening builds from the ML-shaped graph and
+    from seeded random graphs, the matching draws the same rng stream and
+    makes the same pairs as the weight-then-index sort, and the contraction
+    builds the same level as scipy's CSR."""
+    rng = np.random.default_rng(2302)
+    n_levels = []
+    for g in _coarsening_graphs(rng):
+        level = _level_from_graph(BipartiteGraph.from_entries(*g))
+        assert level.n > partition.COARSE_TARGET
+        n_levels.append(0)
+        while level.n > partition.COARSE_TARGET:
+            state = rng.bit_generator.state
+            match = _heavy_edge_matching(level, rng)
+            ref_rng = np.random.default_rng()
+            ref_rng.bit_generator.state = state
+            assert np.array_equal(match, _matching_reference(level, ref_rng))
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
+            cmap, coarse = _contract(level, match)
+            ref_cmap, ref = _contract_reference(level, match)
+            _assert_same_arrays(
+                (cmap, coarse.xadj, coarse.adjncy, coarse.adjwgt, coarse.vwgt),
+                (ref_cmap, ref.xadj, ref.adjncy, ref.adjwgt, ref.vwgt))
+            if coarse.n >= 0.95 * level.n:
+                break
+            level = coarse
+            n_levels[-1] += 1
+    assert min(n_levels) >= 1 and n_levels[0] >= 4
+
+
+def _rows_ascend(level):
+    row_start = np.zeros(level.adjncy.size, dtype=bool)
+    row_start[level.xadj[:-1][np.diff(level.xadj) > 0]] = True
+    return bool(np.all((np.diff(level.adjncy) > 0) | row_start[1:]))
+
+
+def test_every_level_of_a_multilevel_run_has_ascending_rows(monkeypatch):
+    """The matching's tie-break reads each row in ascending order, so every
+    level a run builds, the finest included, must list its neighbours so."""
+    levels = []
+    for name in ("_level_from_graph", "_contract"):
+        def recorded(*args, _build=getattr(partition, name)):
+            out = _build(*args)
+            levels.append(out[1] if isinstance(out, tuple) else out)
+            return out
+        monkeypatch.setattr(partition, name, recorded)
+    rng = np.random.default_rng(2303)
+    for g in (to_bipartite(ml_shaped(rng)), to_bipartite(planted_blocks(
+            rng, [(90, 110), (100, 80)], 0.1, density_cross=0.01))):
+        gpvs_bisect(g, 0.2, seed=1)
+    assert len(levels) > 10
+    assert all(_rows_ascend(level) for level in levels)
+
+
+@pytest.mark.parametrize("permute, target, digest, counts", [
+    (balanced_permute, 0.3,
+     "aed1f3829820091a0695c3c5c78d5aac73ac77d5c8c05df1842db84b0f3f0887",
+     {"leaf": 1109, "border": 3860, "dropped": 0, "leaves": 8}),
+    (bbdf_permute, 0.2,
+     "b95f9eea14113bf9788b33d5f34cf98139d6db7169f895b15555110a791a06c5",
+     {"leaf": 849, "border": 4120, "dropped": 0, "leaves": 6}),
+    (abbdf_permute, 0.2,
+     "1eeb7ef1fb846a5cb3988279a07080cc8bbee7f41f604942499d54ca17374232",
+     {"leaf": 3238, "border": 1131, "dropped": 600, "leaves": 3})],
+    ids=["balanced", "bbdf", "abbdf"])
+def test_permute_trees_are_pinned(permute, target, digest, counts):
+    """Each mode's tree on a planted matrix large enough to coarsen, pinned
+    by the sha256 of its JSON and its ``check_tree`` counts: a kernel change
+    that moves a tree fails here rather than shifting an RMSE."""
+    m = planted_blocks(np.random.default_rng(2304),
+                       [(70, 90), (80, 70), (60, 80)], 0.25,
+                       density_cross=0.02, bridge_rows=5)
+    assert m.n_rows + m.n_cols > partition.COARSE_TARGET
+    out = permute(m, target, seed=5)
+    tree = out[0] if isinstance(out, tuple) else out
+    assert hashlib.sha256(tree.to_json().encode()).hexdigest() == digest
+    assert check_tree(tree, m) == counts
 
 
 def test_planted_two_community_recovery():
