@@ -44,6 +44,9 @@ from .errors import (
 
 ALGORITHMS = ("svd_als", "nmf", "pmf_sgd", "mmmf_fast")
 _EPS = 1e-12
+# svd_als solves all rows of a half-sweep in one batch up to this rank (the
+# crossover measured in README); above it, one Cholesky per row is faster
+_ALS_BATCH_R = 16
 
 
 def _is_number(value, kind):
@@ -244,12 +247,51 @@ def _als_half_sweep(target, fixed, ptr, idx, vals, reg):
         target[i] = x
 
 
+def _als_side(ptr, idx, vals, n_fixed, spec):
+    """The half-sweep ``(target, fixed)`` that ridge-solves every row of
+    ``target`` from its CSR row ``ptr, idx, vals`` over ``fixed``.
+
+    At ``reg > 0`` and ``r <= _ALS_BATCH_R`` it solves every row at once:
+    row ``i``'s Gram ``F'F`` is the sum of ``f f'`` over its fixed rows
+    ``f``, one sparse product of the pattern with the row-wise outer
+    products of ``fixed``; its right-hand side ``F'y`` is one sparse
+    product of the values with ``fixed``; the systems go to one batched
+    ``np.linalg.solve``. An empty row gets ``reg I x = 0``, so ``x = 0``.
+    A singular system falls back to the per-row loop. Per row, the solve
+    costs a few calls whatever ``r``; batched, the outer products cost
+    ``r**2`` per fixed row, so large ``r`` and ``reg == 0`` (whose ``n < r``
+    rows need the minimum-norm solve) stay with :func:`_als_half_sweep`.
+    """
+    r, reg = spec.r, spec.reg
+    if reg == 0 or r > _ALS_BATCH_R:
+        return lambda target, fixed: _als_half_sweep(target, fixed, ptr, idx,
+                                                     vals, reg)
+    shape = (ptr.size - 1, n_fixed)
+    pattern = csr_matrix((np.ones(idx.size), idx, ptr), shape=shape)
+    values = csr_matrix((vals, idx, ptr), shape=shape)
+    lam = reg * np.maximum(np.diff(ptr), 1)[:, None]
+    diag = np.arange(r)
+
+    def half_sweep(target, fixed):
+        outer = (fixed[:, :, None] * fixed[:, None, :]).reshape(n_fixed, r * r)
+        A = (pattern @ outer).reshape(-1, r, r)
+        A[:, diag, diag] += lam
+        b = (values @ fixed)[:, :, None]
+        try:
+            target[:] = np.linalg.solve(A, b)[:, :, 0]
+        except np.linalg.LinAlgError:
+            _als_half_sweep(target, fixed, ptr, idx, vals, reg)
+    return half_sweep
+
+
 def _als_epoch(m, spec, rng, sample_order):
     t_rows, t_vals = m.rows[m._col_order], m.vals[m._col_order]
+    rows = _als_side(m._row_ptr, m.cols, m.vals, m.n_cols, spec)
+    cols = _als_side(m._col_ptr, t_rows, t_vals, m.n_rows, spec)
 
     def sweep(U, V):
-        _als_half_sweep(U, V, m._row_ptr, m.cols, m.vals, spec.reg)
-        _als_half_sweep(V, U, m._col_ptr, t_rows, t_vals, spec.reg)
+        rows(U, V)
+        cols(V, U)
     return sweep
 
 

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import json
 import os
+import secrets
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +58,13 @@ def _check_uncovered(uncovered):
 
 def _finite(value):
     return _is_number(value, Real) and abs(value) <= sys.float_info.max
+
+
+def _sibling(directory, tag):
+    """An unused hidden name beside ``directory``."""
+    parent, name = os.path.split(directory)
+    return os.path.join(parent, f".{name}.{tag}-{os.getpid()}-"
+                                f"{secrets.token_hex(4)}")
 
 
 def fallback_biases(m):
@@ -222,7 +232,32 @@ class LMFModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory):
-        os.makedirs(directory, exist_ok=True)
+        """Write the model's files into ``directory``, replacing whatever
+        directory is there.
+
+        The files go into a new sibling directory first, which then takes
+        the old one's place: the old directory is renamed aside, the new one
+        renamed in and the old one removed. A save that fails part-way
+        leaves any old model whole and no temporary directory behind.
+        """
+        directory = os.path.realpath(directory)
+        parent, name = os.path.split(directory)
+        os.makedirs(parent, exist_ok=True)
+        tmp = _sibling(directory, "new")
+        os.mkdir(tmp)
+        try:
+            self._write(tmp)
+            if os.path.isdir(directory):
+                old = _sibling(directory, "old")
+                os.rename(directory, old)
+                os.rename(tmp, directory)
+                shutil.rmtree(old)
+            else:
+                os.rename(tmp, directory)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+    def _write(self, directory):
         self.tree.save(os.path.join(directory, "tree.json"))
         for k, pair in enumerate(self.pairs):
             save_factors(os.path.join(directory, f"block_{k:04d}.fac"),
@@ -299,23 +334,19 @@ _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
                         "openblas_set_num_threads")
 
 
-def _single_blas_thread():
-    """Pool initializer: run every loaded OpenBLAS with one thread, so the
-    workers split the cores between them instead of each claiming all of
-    them. numpy has no API for this; a platform without ``/proc/self/maps``
-    or a library without a known setter keeps its threads.
-
-    In a forked worker the setter restarts the library's thread pool (the
-    fork stopped it), and its new threads would spin-wait for about 2**28
-    cycles (0.1 s at 2 GHz) on the cores the fit needs. They are stopped
-    again at once, with the call OpenBLAS itself makes before a fork; at
-    one thread the library never starts them again."""
+@functools.cache
+def _blas_setters():
+    """The ``(setter, shutdown)`` pair of every loaded OpenBLAS, resolved
+    once per process, since ``ctypes.CDLL`` costs milliseconds per library;
+    ``shutdown`` is ``blas_thread_shutdown_`` or None. A platform without
+    ``/proc/self/maps`` or a library without a known setter gives none."""
     try:
         with open("/proc/self/maps", "rb") as fh:
             paths = {os.fsdecode(line.split(maxsplit=5)[-1].strip())
                      for line in fh if b"openblas" in line.lower()}
     except OSError:
-        return
+        return ()
+    found = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
@@ -326,12 +357,30 @@ def _single_blas_thread():
             if setter is not None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
-                setter(1)
                 stop = getattr(lib, "blas_thread_shutdown_", None)
                 if stop is not None:
                     stop.restype = ctypes.c_int
-                    stop()
+                found.append((setter, stop))
                 break
+    return tuple(found)
+
+
+def _single_blas_thread():
+    """Pool initializer: run every loaded OpenBLAS with one thread, so the
+    workers split the cores between them instead of each claiming all of
+    them. numpy has no API for this. :func:`lmf_fit` resolves the setters
+    before it starts the pool, so a forked worker only calls them; a worker
+    started by spawn or forkserver resolves them itself.
+
+    In a forked worker the setter restarts the library's thread pool (the
+    fork stopped it), and its new threads would spin-wait for about 2**28
+    cycles (0.1 s at 2 GHz) on the cores the fit needs. They are stopped
+    again at once, with the call OpenBLAS itself makes before a fork; at
+    one thread the library never starts them again."""
+    for setter, stop in _blas_setters():
+        setter(1)
+        if stop is not None:
+            stop()
 
 
 def _fit_one_block(args):
@@ -376,6 +425,8 @@ def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
     pairs = [None] * len(blocks)
     workers = min(threads, len(os.sched_getaffinity(0)), len(blocks))
     t_fit = time.perf_counter()
+    if workers > 1:
+        _blas_setters()  # resolved here once, so forked workers only call them
     with (ProcessPoolExecutor(max_workers=workers,
                               initializer=_single_blas_thread)
           if workers > 1 else contextlib.nullcontext()) as pool:

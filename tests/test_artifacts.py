@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lmf import (BBDFTree, FactorPair, FactorizerSpec, LMFModel,
                  balanced_permute, lmf_fit)
+from lmf import model as model_module
 from lmf.cli import main as cli_main
 from lmf.errors import LMFError, ShapeError, SpecError
 
@@ -270,3 +271,42 @@ def test_stitched_prediction_is_mean_over_covering_blocks(seed, uncovered):
             expect = model.mu + model.b_user[i] + model.b_item[j]
         assert covered[t] == bool(own)
         assert pred[t] == pytest.approx(min(max(expect, lo), hi), abs=1e-9)
+
+
+def test_failed_save_leaves_the_old_model_whole(tmp_path, monkeypatch):
+    m, old = _fitted(3, "svd_als", "bias")
+    _, new = _fitted(4, "svd_als", "bias")
+    assert new.n_blocks != old.n_blocks
+    directory = tmp_path / "model"
+    old.save(directory)
+    files = {name: (directory / name).read_bytes()
+             for name in os.listdir(directory)}
+    I, J = np.divmod(np.arange(m.n_rows * m.n_cols), m.n_cols)
+    expect = LMFModel.load(directory).predict_many(I, J)
+
+    written = []
+
+    def save_factors(path, pair, spec):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError("no space left on device")
+        real_save_factors(path, pair, spec)
+    real_save_factors = model_module.save_factors
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "save_factors", save_factors)
+        with pytest.raises(OSError, match="no space"):
+            new.save(directory)
+    assert os.listdir(tmp_path) == ["model"]
+    assert {name: (directory / name).read_bytes()
+            for name in os.listdir(directory)} == files
+    for x, y in zip(LMFModel.load(directory).predict_many(I, J), expect):
+        assert np.array_equal(x, y)
+
+    # a save that completes replaces every file, stale blocks included
+    new.save(directory)
+    assert os.listdir(tmp_path) == ["model"]
+    assert sorted(os.listdir(directory)) == sorted(
+        ["tree.json", "biases.bin", "manifest.json"]
+        + [f"block_{k:04d}.fac{ext}" for k in range(new.n_blocks)
+           for ext in ("", ".json")])
+    assert LMFModel.load(directory).n_blocks == new.n_blocks

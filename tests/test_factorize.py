@@ -1,3 +1,4 @@
+import importlib
 import struct
 import warnings
 from dataclasses import replace
@@ -20,7 +21,10 @@ from lmf import (
 )
 from lmf.errors import (DivergenceError, DomainError, EmptyInputError,
                         ShapeError, SpecError)
-from lmf.factorize import _dots, _sgd_levels
+from lmf.factorize import _ALS_BATCH_R, _dots, _sgd_levels
+
+# the module, not the function that lmf exports under the same name
+factorize_module = importlib.import_module("lmf.factorize")
 
 
 def full_matrix(values):
@@ -525,32 +529,65 @@ def _als_reference(m, spec, U, V):
     return trace
 
 
-def test_als_iterates_match_lu_reference():
-    # rows and columns with fewer and with more observations than r, so
-    # both the n x n and the r x r solves run on both sides
+@pytest.mark.parametrize("r, reg, p_low, shape, batched, fail_solve", [
+    pytest.param(6, 0.05, 0.2, (30, 40), True, False, id="batched"),
+    pytest.param(24, 0.05, 0.2, (60, 70), False, False, id="per-row"),
+    # every line holds at least 2r entries: the reference's LU solve of a
+    # rank-deficient F'F would not give the minimum-norm answer
+    pytest.param(4, 0.0, 0.6, (30, 40), False, False, id="unregularized"),
+    pytest.param(6, 0.05, 0.2, (30, 40), True, True, id="batched-solve-fails"),
+])
+def test_als_iterates_match_lu_reference(monkeypatch, r, reg, p_low, shape,
+                                         batched, fail_solve):
+    # rows and columns with fewer and with more observations than r (with a
+    # ridge), so both the n x n and the r x r per-row solves run on both
+    # sides; one empty row and one empty column, whose factors must be zero
     rng = np.random.default_rng(24)
-    nr, nc, r = 30, 40, 6
-    mask = rng.random((nr, nc)) < rng.uniform(0.03, 0.5, (nr, 1))
-    mask[np.arange(nr), rng.integers(nc, size=nr)] = True
-    rows, cols = np.nonzero(mask)
-    m = RatingMatrix(nr, nc, rows, cols,
+    nr, nc = shape
+    p_row, p_col = rng.uniform(p_low, 1.0, nr), rng.uniform(p_low, 1.0, nc)
+    rows, cols = np.nonzero(rng.random((nr, nc)) < np.outer(p_row, p_col))
+    m = RatingMatrix(nr + 1, nc + 1, rows, cols,
                      rng.integers(1, 6, rows.size).astype(float))
-    for counts in (m.row_counts(), m.col_counts()):
-        assert counts.min() < r <= counts.max()
-    spec = FactorizerSpec(algorithm="svd_als", r=r, reg=0.05, max_iters=8,
+    for counts in (m.row_counts()[:-1], m.col_counts()[:-1]):
+        if reg > 0:
+            assert counts.min() < r <= counts.max()
+        else:
+            assert counts.min() >= 2 * r
+    assert (reg > 0 and r <= _ALS_BATCH_R) == batched
+    spec = FactorizerSpec(algorithm="svd_als", r=r, reg=reg, max_iters=8,
                           convergence_tol=0.0, seed=0)
-    U0 = rng.standard_normal((nr, r))
-    V0 = rng.standard_normal((nc, r))
+    U0 = rng.standard_normal((nr + 1, r))
+    V0 = rng.standard_normal((nc + 1, r))
+
+    calls = []
+
+    def spy(name, real):
+        def call(*args):
+            calls.append(name)
+            if fail_solve and name == "batched":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(*args)
+        return call
     trace = []
-    pair = factorize(m, spec, init=(U0, V0),
-                     iterate_hook=lambda it, U, V: trace.append(
-                         (U.copy(), V.copy())))
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", spy("batched", np.linalg.solve))
+        patch.setattr(factorize_module, "_als_half_sweep",
+                      spy("per-row", factorize_module._als_half_sweep))
+        pair = factorize(m, spec, init=(U0, V0),
+                         iterate_hook=lambda it, U, V: trace.append(
+                             (U.copy(), V.copy())))
+    # per half-sweep: one batched solve, the per-row loop, or a batched
+    # solve that raised and then the loop
+    half_sweep = {(True, False): ["batched"], (False, False): ["per-row"],
+                  (True, True): ["batched", "per-row"]}[batched, fail_solve]
+    assert calls == half_sweep * (2 * spec.max_iters)
     ref = _als_reference(m, spec, U0.copy(), V0.copy())
     assert len(trace) == len(ref) == len(pair.history) == spec.max_iters
     for (U, V), obj, (Ur, Vr, obj_r) in zip(trace, pair.history, ref):
         assert np.abs(U - Ur).max() <= 1e-10 * np.abs(Ur).max()
         assert np.abs(V - Vr).max() <= 1e-10 * np.abs(Vr).max()
         assert abs(obj - obj_r) <= 1e-10 * abs(obj_r)
+        assert not U[-1].any() and not V[-1].any()
 
 
 def _pmf_reference(m, spec, U, V, order):

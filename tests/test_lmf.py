@@ -3,6 +3,7 @@ import ctypes
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -331,6 +332,32 @@ def test_pool_workers_start_no_blas_threads():
     with ProcessPoolExecutor(max_workers=1,
                              initializer=_single_blas_thread) as pool:
         assert pool.submit(_thread_count).result(timeout=60) == 1
+
+
+def test_forked_workers_reuse_the_parents_blas_setters(monkeypatch,
+                                                       request):
+    # lmf_fit resolves the OpenBLAS setters once per process, before its
+    # pool forks; the workers only call them and load no library
+    if not (os.path.exists("/proc/self/maps") and _openblas_threads()):
+        pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked on this platform")
+    parent, loads, cdll = os.getpid(), [], ctypes.CDLL
+
+    def load(path, *args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError(f"a pool worker loaded {path}")
+        loads.append(path)
+        return cdll(path, *args, **kwargs)
+    model_module._blas_setters.cache_clear()
+    request.addfinalizer(model_module._blas_setters.cache_clear)
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    rng = np.random.default_rng(8)
+    m = planted_blocks(rng, [(10, 12), (9, 11), (8, 10)], 0.5, bridge_rows=1)
+    tree, _ = balanced_permute(m, 0.55, seed=3)
+    for _ in range(2):
+        lmf_fit(tree, m, SPEC, threads=2)
+    assert 0 < len(loads) == len(set(loads))
 
 
 @pytest.mark.parametrize("cut", [3, 8])  # mid-value, and whole values lost
