@@ -23,7 +23,7 @@ from .evaluate import EvalReport, fchr, format_report, kfold_split, rmse, \
     run_benchmark
 from .factorize import FactorizerSpec
 from .matrix import _records, load_ratings
-from .model import UNCOVERED, LMFModel, lmf_fit
+from .model import UNCOVERED, LMFModel, check_model_dir, lmf_fit
 
 _ALGO_NAMES = {"svd": "svd_als", "nmf": "nmf", "pmf": "pmf_sgd",
                "mmmf": "mmmf_fast"}
@@ -109,6 +109,7 @@ def cmd_analyze(args):
 
 
 def cmd_fit(args):
+    check_model_dir(args.out)  # a save refused after the fit would lose it
     m = load_ratings(args.input)
     counts = None
     if args.tree:

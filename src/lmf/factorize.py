@@ -255,30 +255,42 @@ def _als_side(ptr, idx, vals, n_fixed, spec):
     row ``i``'s Gram ``F'F`` is the sum of ``f f'`` over its fixed rows
     ``f``, one sparse product of the pattern with the row-wise outer
     products of ``fixed``; its right-hand side ``F'y`` is one sparse
-    product of the values with ``fixed``; the systems go to one batched
-    ``np.linalg.solve``. An empty row gets ``reg I x = 0``, so ``x = 0``.
-    A singular system falls back to the per-row loop. Per row, the solve
-    costs a few calls whatever ``r``; batched, the outer products cost
-    ``r**2`` per fixed row, so large ``r`` and ``reg == 0`` (whose ``n < r``
-    rows need the minimum-norm solve) stay with :func:`_als_half_sweep`.
+    product of the values with ``fixed``; the systems go to a batched
+    ``np.linalg.solve`` per chunk of rows whose Grams fill about 1 MiB
+    (:func:`_chunk_rows` of ``r * r``), so that beyond the outer products,
+    ``n_fixed * r**2`` doubles, memory does not grow with the rows; each
+    row's result is the one a single batch gives. An empty row gets
+    ``reg I x = 0``, so ``x = 0``. A singular system falls back to the
+    per-row loop. Per row, the solve costs a few calls whatever ``r``;
+    batched, the outer products cost ``r**2`` per fixed row, so large
+    ``r`` and ``reg == 0`` (whose ``n < r`` rows need the minimum-norm
+    solve) stay with :func:`_als_half_sweep`.
     """
     r, reg = spec.r, spec.reg
     if reg == 0 or r > _ALS_BATCH_R:
         return lambda target, fixed: _als_half_sweep(target, fixed, ptr, idx,
                                                      vals, reg)
-    shape = (ptr.size - 1, n_fixed)
-    pattern = csr_matrix((np.ones(idx.size), idx, ptr), shape=shape)
-    values = csr_matrix((vals, idx, ptr), shape=shape)
+    n = ptr.size - 1
+    values = csr_matrix((vals, idx, ptr), shape=(n, n_fixed))
     lam = reg * np.maximum(np.diff(ptr), 1)[:, None]
+    step = _chunk_rows(r * r)
+    patterns = []  # (rows, their pattern CSR) per row chunk
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        start, stop = ptr[lo], ptr[hi]
+        patterns.append((slice(lo, hi), csr_matrix(
+            (np.ones(stop - start), idx[start:stop], ptr[lo:hi + 1] - start),
+            shape=(hi - lo, n_fixed))))
     diag = np.arange(r)
 
     def half_sweep(target, fixed):
         outer = (fixed[:, :, None] * fixed[:, None, :]).reshape(n_fixed, r * r)
-        A = (pattern @ outer).reshape(-1, r, r)
-        A[:, diag, diag] += lam
         b = (values @ fixed)[:, :, None]
         try:
-            target[:] = np.linalg.solve(A, b)[:, :, 0]
+            for rows, pattern in patterns:
+                A = (pattern @ outer).reshape(-1, r, r)
+                A[:, diag, diag] += lam[rows]
+                target[rows] = np.linalg.solve(A, b[rows])[:, :, 0]
         except np.linalg.LinAlgError:
             _als_half_sweep(target, fixed, ptr, idx, vals, reg)
     return half_sweep

@@ -20,6 +20,7 @@ import ctypes
 import functools
 import json
 import os
+import re
 import secrets
 import shutil
 import sys
@@ -58,6 +59,33 @@ def _check_uncovered(uncovered):
 
 def _finite(value):
     return _is_number(value, Real) and abs(value) <= sys.float_info.max
+
+
+# the names LMFModel.save writes; a directory holding anything else is not
+# replaced
+_MODEL_FILE = re.compile(r"tree\.json|biases\.bin|manifest\.json"
+                         r"|block_\d+\.fac(\.json)?")
+
+
+def check_model_dir(directory):
+    """Raise :class:`ConfigError` unless a model can be saved at
+    ``directory``: nothing is there, or a directory holding only model
+    files, which a save replaces. A symbolic link is followed."""
+    directory = os.path.realpath(directory)
+    if not os.path.exists(directory):
+        return
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{directory} exists and is not a directory")
+    with os.scandir(directory) as entries:
+        foreign = sorted(e.name for e in entries
+                         if e.is_dir(follow_symlinks=False)
+                         or not _MODEL_FILE.fullmatch(e.name))
+    if foreign:
+        raise ConfigError(f"{directory} holds files that are not a model's "
+                          f"({', '.join(foreign[:3])}"
+                          f"{', ...' if len(foreign) > 3 else ''}); a save "
+                          "replaces the whole directory, so give a new or "
+                          "model-only one")
 
 
 def _sibling(directory, tag):
@@ -232,17 +260,22 @@ class LMFModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory):
-        """Write the model's files into ``directory``, replacing whatever
-        directory is there.
+        """Write the model's files into ``directory``, replacing any model
+        already there.
 
-        The files go into a new sibling directory first, which then takes
-        the old one's place: the old directory is renamed aside, the new one
-        renamed in and the old one removed. A save that fails part-way
-        leaves any old model whole and no temporary directory behind.
+        Raises :class:`ConfigError`, before writing anything, when
+        ``directory`` holds anything but model files (see
+        :func:`check_model_dir`). The files go into a new sibling directory
+        first, which then takes the old one's place by two renames: the
+        old directory aside, the new one in; then the old one is removed.
+        A save that fails part-way leaves any old model whole at
+        ``directory`` and no temporary directory behind. The swap is not
+        atomic for readers: between the two renames no model is at
+        ``directory``.
         """
         directory = os.path.realpath(directory)
-        parent, name = os.path.split(directory)
-        os.makedirs(parent, exist_ok=True)
+        check_model_dir(directory)
+        os.makedirs(os.path.dirname(directory), exist_ok=True)
         tmp = _sibling(directory, "new")
         os.mkdir(tmp)
         try:
@@ -250,7 +283,11 @@ class LMFModel:
             if os.path.isdir(directory):
                 old = _sibling(directory, "old")
                 os.rename(directory, old)
-                os.rename(tmp, directory)
+                try:
+                    os.rename(tmp, directory)
+                except BaseException:
+                    os.rename(old, directory)
+                    raise
                 shutil.rmtree(old)
             else:
                 os.rename(tmp, directory)

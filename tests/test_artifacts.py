@@ -16,7 +16,7 @@ from lmf import (BBDFTree, FactorPair, FactorizerSpec, LMFModel,
                  balanced_permute, lmf_fit)
 from lmf import model as model_module
 from lmf.cli import main as cli_main
-from lmf.errors import LMFError, ShapeError, SpecError
+from lmf.errors import ConfigError, LMFError, ShapeError, SpecError
 
 from conftest import planted_blocks
 
@@ -310,3 +310,58 @@ def test_failed_save_leaves_the_old_model_whole(tmp_path, monkeypatch):
         + [f"block_{k:04d}.fac{ext}" for k in range(new.n_blocks)
            for ext in ("", ".json")])
     assert LMFModel.load(directory).n_blocks == new.n_blocks
+
+
+def test_save_refuses_a_directory_with_other_files(tmp_path, monkeypatch):
+    m, model = _fitted(3, "svd_als", "bias")
+    data = tmp_path / "ratings.tsv"
+    data.write_text("u1\ti1\t4\n")
+    (tmp_path / "runs").mkdir()
+    model.save(tmp_path / "model")
+    (tmp_path / "model" / "notes.txt").write_text("mine")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path, target_is_directory=True)
+    before = sorted(os.listdir(tmp_path))
+    for target in (tmp_path, tmp_path / "model", link, data):
+        with pytest.raises(ConfigError, match="not a model's|not a directory"):
+            model.save(target)
+        assert cli_main(["fit", "--input", str(data), "--algo", "svd",
+                         "--out", str(target)]) == ConfigError.exit_code
+    assert sorted(os.listdir(tmp_path)) == before
+    assert data.read_text() == "u1\ti1\t4\n"
+    assert (tmp_path / "model" / "notes.txt").read_text() == "mine"
+
+    # an empty directory, or one through a link, takes the model
+    model.save(tmp_path / "runs")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "to-empty").symlink_to(tmp_path / "empty",
+                                       target_is_directory=True)
+    model.save(tmp_path / "to-empty")
+    assert (tmp_path / "to-empty").is_symlink()
+    for directory in ("runs", "empty"):
+        loaded = LMFModel.load(tmp_path / directory)
+        assert loaded.n_blocks == model.n_blocks
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ["empty",
+                                                            "to-empty"])
+
+
+def test_failed_swap_puts_the_old_model_back(tmp_path, monkeypatch):
+    _, old = _fitted(3, "svd_als", "bias")
+    _, new = _fitted(4, "svd_als", "bias")
+    directory = tmp_path / "model"
+    old.save(directory)
+    files = {name: (directory / name).read_bytes()
+             for name in os.listdir(directory)}
+    rename = os.rename
+
+    def fail_second(src, dst):
+        if os.path.basename(src).startswith(".model.new-"):
+            raise OSError("rename failed")
+        rename(src, dst)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "rename", fail_second)
+        with pytest.raises(OSError, match="rename failed"):
+            new.save(directory)
+    assert os.listdir(tmp_path) == ["model"]
+    assert {name: (directory / name).read_bytes()
+            for name in os.listdir(directory)} == files

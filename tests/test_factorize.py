@@ -590,6 +590,29 @@ def test_als_iterates_match_lu_reference(monkeypatch, r, reg, p_low, shape,
         assert not U[-1].any() and not V[-1].any()
 
 
+def test_batched_als_in_row_chunks_equals_one_batch(monkeypatch):
+    rng = np.random.default_rng(25)
+    r, c, v = random_block(rng, 40, 50, 0.3)
+    m = RatingMatrix(41, 51, r, c, v)  # one empty row and column
+    spec = FactorizerSpec(algorithm="svd_als", r=5, reg=0.05, max_iters=4,
+                          convergence_tol=0.0, seed=0)
+    whole = factorize(m, spec)
+    solves, solve = [], np.linalg.solve
+
+    def count(*args):
+        solves.append(args[0].shape[0])
+        return solve(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(factorize_module, "_chunk_rows", lambda width: 7)
+        patch.setattr(np.linalg, "solve", count)
+        chunked = factorize(m, spec)
+    # per sweep, ceil(41 / 7) row chunks and ceil(51 / 7) column chunks
+    assert solves == ([7] * 5 + [6] + [7] * 7 + [2]) * spec.max_iters
+    assert np.array_equal(chunked.U, whole.U)
+    assert np.array_equal(chunked.V, whole.V)
+    assert chunked.history == whole.history
+
+
 def _pmf_reference(m, spec, U, V, order):
     """The per-entry pmf_sgd loop, kept as the reference that the
     level-scheduled kernel must reproduce bit for bit. ``order`` is one
