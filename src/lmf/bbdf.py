@@ -19,7 +19,7 @@ border, is the unit that gets factorized independently downstream.
 from __future__ import annotations
 
 import json
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -80,6 +80,17 @@ class BBDFTree:
     ``rounds`` is only set by :func:`balanced_permute`: the position (in
     the size-ordered candidate list) of the block accepted at each round,
     from which the first-choice hit rate is computed.
+
+    Building or loading a tree checks its structure once. It raises
+    :class:`ShapeError`, naming the node path, unless the row and column
+    counts are non-negative integers, the labels, when given, that many
+    distinct hashable values, and the mode one of :data:`PERMUTE_MODES`;
+    the root holds every row and column once; each inner node's children
+    and borders split its rows and columns; no leaf has borders or dropped
+    pairs; an exact-mode tree (``bbdf``, ``balanced``) drops none; and
+    each pair an ``abbdf`` node drops lies in range, joins two of its
+    children and is listed once. Nodes must not change after the tree is
+    built. :func:`check_tree` checks the tree against a matrix.
     """
 
     def __init__(self, root, mode, seed, target_density, matrix=None,
@@ -88,57 +99,98 @@ class BBDFTree:
         if matrix is not None:  # its shape and labels; the tree keeps no link
             n_rows, n_cols = matrix.shape
             row_ids, col_ids = list(matrix.row_labels), list(matrix.col_labels)
-        self.root = root
-        self.mode = mode
-        self.seed = seed
-        self.target_density = target_density
+        self.root, self.mode, self.seed = root, mode, seed
+        self.target_density, self.rounds = target_density, rounds
         self.n_rows, self.n_cols = n_rows, n_cols
         self.row_ids, self.col_ids = row_ids, col_ids
-        self.rounds = rounds
+        self._check_structure()
+
+    def _check_structure(self):
+        """The check of the class docstring, in one walk from the root."""
+        n_rows, n_cols = self.n_rows, self.n_cols
+        if not all(_is_number(n, Integral) and n >= 0
+                   for n in (n_rows, n_cols)):
+            raise ShapeError(f"tree 'n_rows' and 'n_cols' must be counts, "
+                             f"found {n_rows!r} and {n_cols!r}")
+        for key, ids, n in (("row_ids", self.row_ids, n_rows),
+                            ("col_ids", self.col_ids, n_cols)):
+            try:  # distinct labels map back to their positions by a dict
+                ok = ids is None or (isinstance(ids, list)
+                                     and len(ids) == n == len(set(ids)))
+            except TypeError:  # a list or an object as a label
+                ok = False
+            if not ok:
+                raise ShapeError(f"tree '{key}' must list {n} distinct labels")
+        if self.mode not in tuple(PERMUTE_MODES):  # a list is no dict key
+            raise ShapeError(f"tree mode {self.mode!r} is not one of "
+                             f"{tuple(PERMUTE_MODES)}")
+        if not _governs(self.root, n_rows, n_cols):
+            raise ShapeError("tree node []: the root does not hold every row "
+                             "and column once")
+        for path, node in self._walk():
+            where = f"tree node {list(path)}"
+            if node.is_leaf:
+                if len(node.row_border) or len(node.col_border) \
+                        or len(node.dropped):
+                    raise ShapeError(f"{where}: a leaf has borders or dropped "
+                                     "entries")
+            elif not (_splits(node, "rows", "row_border")
+                      and _splits(node, "cols", "col_border")):
+                raise ShapeError(f"{where}: children and borders do not split "
+                                 "the node's rows and columns")
+            elif len(node.dropped):
+                self._check_dropped(node, where)
+
+    def _check_dropped(self, node, where):
+        """Raise :class:`ShapeError` unless ``node`` is of an abbdf tree and
+        drops each pair once, in range and joining two different children."""
+        listed, shape = node.dropped, (self.n_rows, self.n_cols)
+        if self.mode != "abbdf":
+            raise ShapeError(f"{where}: an exact-mode tree drops no entry, "
+                             f"but {len(listed)} pairs are listed")
+        inside = ((listed >= 0) & (listed < shape)).all(axis=1)
+        r, c = np.where(inside[:, None], listed, 0).T
+        tr, tc = _entry_tags(node.children, shape, r, c)
+        joins = inside & (tr >= 0) & (tc >= 0) & (tr != tc)
+        if not joins.all():
+            raise ShapeError(f"{where}: dropped pair "
+                             f"{listed[~joins][0].tolist()} does not join two "
+                             "children")
+        keys = np.sort(r * shape[1] + c)
+        twice = keys[1:][keys[1:] == keys[:-1]]
+        if twice.size:
+            raise ShapeError(f"{where}: the dropped list names "
+                             f"{list(divmod(int(twice[0]), shape[1]))} twice")
+
+    def _walk(self, node=None, path=()):
+        """``(path, node)`` per node in tree order (preorder)."""
+        node = node or self.root
+        yield path, node
+        for k, ch in enumerate(node.children):
+            yield from self._walk(ch, path + (k,))
 
     def leaves(self):
         return [node for node in self.nodes() if node.is_leaf]
 
     def nodes(self):
-        out = []
-
-        def walk(node):
-            out.append(node)
-            for ch in node.children:
-                walk(ch)
-
-        walk(self.root)
-        return out
+        return [node for _, node in self._walk()]
 
     def dropped_entries(self):
-        parts = [n.dropped for n in self.nodes() if n.dropped.size]
-        if not parts:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(parts, axis=0)
+        return np.concatenate([np.empty((0, 2), dtype=np.int64)]
+                              + [node.dropped for node in self.nodes()])
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
         def encode(node):
-            return {
-                "rows": node.rows.tolist(),
-                "cols": node.cols.tolist(),
-                "row_border": node.row_border.tolist(),
-                "col_border": node.col_border.tolist(),
-                "dropped": node.dropped.tolist(),
-                "children": [encode(ch) for ch in node.children],
-            }
+            obj = {key: getattr(node, key).tolist() for key in _NODE_KEYS[:-1]}
+            obj["children"] = [encode(ch) for ch in node.children]
+            return obj
 
-        doc = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "target_density": self.target_density,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-            "row_ids": self.row_ids,
-            "col_ids": self.col_ids,
-            "root": encode(self.root),
-        }
+        doc = {key: getattr(self, key) for key in (
+            "mode", "seed", "target_density", "n_rows", "n_cols", "row_ids",
+            "col_ids")}
+        doc["root"] = encode(self.root)
         if self.rounds is not None:
             doc["rounds"] = list(self.rounds)
         return json.dumps(doc)
@@ -151,22 +203,9 @@ class BBDFTree:
 
     @classmethod
     def _decode(cls, doc):
-        """The tree a parsed ``tree.json`` describes; raises
-        :class:`ShapeError` unless every index lies in range, the labels
-        of each axis are distinct scalars, the root holds every row and
-        column, and at each inner node the children and the borders split
-        the node's rows and columns."""
-        n_rows, n_cols = doc["n_rows"], doc["n_cols"]
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
-                   for n in (n_rows, n_cols)):
-            raise ShapeError(f"tree 'n_rows' and 'n_cols' must be counts, "
-                             f"found {n_rows!r} and {n_cols!r}")
-        for key, n in (("row_ids", n_rows), ("col_ids", n_cols)):
-            ids = doc.get(key)
-            if ids is not None and not (isinstance(ids, list)
-                                        and len(ids) == n and _distinct(ids)):
-                raise ShapeError(f"tree '{key}' must list {n} distinct "
-                                 "scalar labels")
+        """The tree a parsed ``tree.json`` describes; a node without a key
+        or with anything but lists of integers raises :class:`ShapeError`,
+        as the constructor does for a tree that breaks its structure."""
         if not isinstance(doc.get("rounds", []), list):
             raise ShapeError("tree 'rounds' must be a list")
 
@@ -175,25 +214,17 @@ class BBDFTree:
             require_keys(obj, _NODE_KEYS, where)
             if not isinstance(obj["children"], list):
                 raise ShapeError(f"{where}: 'children' is not a list")
-            node = BBDFNode(_index_array(obj["rows"], (n_rows,), where),
-                            _index_array(obj["cols"], (n_cols,), where),
-                            path=path)
-            node.row_border = _index_array(obj["row_border"], (n_rows,), where)
-            node.col_border = _index_array(obj["col_border"], (n_cols,), where)
-            node.dropped = _index_array(obj["dropped"], (n_rows, n_cols), where)
+            node = BBDFNode((), (), path=path)
+            for key in _NODE_KEYS[:-1]:  # the index lists; "dropped" of pairs
+                setattr(node, key, _index_array(obj[key], key == "dropped",
+                                                where))
             node.children = [decode(c, path + (i,))
                              for i, c in enumerate(obj["children"])]
-            if node.children and not (_splits(node, "rows", "row_border")
-                                      and _splits(node, "cols", "col_border")):
-                raise ShapeError(f"{where}: children and borders do not "
-                                 "split the node's rows and columns")
             return node
 
-        root = decode(doc["root"], ())
-        if not _governs(root, n_rows, n_cols):
-            raise ShapeError("tree root must govern the full index ranges")
-        return cls(root, doc["mode"], doc["seed"], doc["target_density"],
-                   n_rows=n_rows, n_cols=n_cols, row_ids=doc.get("row_ids"),
+        return cls(decode(doc["root"], ()), doc["mode"], doc["seed"],
+                   doc["target_density"], n_rows=doc["n_rows"],
+                   n_cols=doc["n_cols"], row_ids=doc.get("row_ids"),
                    col_ids=doc.get("col_ids"), rounds=doc.get("rounds"))
 
     def save(self, path):
@@ -214,11 +245,10 @@ _NODE_KEYS = ("rows", "cols", "row_border", "col_border", "dropped",
               "children")
 
 
-def _index_array(value, bounds, where):
-    """A JSON list of indices (one bound) or of ``(row, col)`` pairs (two
-    bounds) as an int64 array, every index ``k`` of a pair inside
-    ``[0, bounds[k])``; anything else raises :class:`ShapeError`."""
-    shape = (0,) if len(bounds) == 1 else (0, len(bounds))
+def _index_array(value, pairs, where):
+    """A JSON list of indices, or of ``(row, col)`` pairs if ``pairs``, as
+    an int64 array; anything else raises :class:`ShapeError`."""
+    shape = (0, 2) if pairs else (0,)
     if value == []:
         return np.empty(shape, dtype=np.int64)
     try:
@@ -228,20 +258,8 @@ def _index_array(value, bounds, where):
     if arr is None or arr.dtype.kind not in "iu" or \
             arr.shape[1:] != shape[1:] or arr.ndim != len(shape):
         raise ShapeError(f"{where}: {value!r:.60} is not a list of "
-                         f"{'indices' if len(bounds) == 1 else 'index pairs'}")
-    arr = arr.astype(np.int64)
-    if (arr < 0).any() or (arr >= np.asarray(bounds)).any():
-        raise ShapeError(f"{where}: index out of range")
-    return arr
-
-
-def _distinct(labels):
-    """Whether ``labels`` are hashable and pairwise unequal, so that a dict
-    maps each one back to its position."""
-    try:
-        return len(set(labels)) == len(labels)
-    except TypeError:  # a list or an object as a label
-        return False
+                         f"{'index pairs' if pairs else 'indices'}")
+    return arr.astype(np.int64)
 
 
 def _governs(root, n_rows, n_cols):
@@ -316,16 +334,17 @@ def _order_views(views):
     return [v for _, v in keyed]
 
 
-def _entry_tags(parts, m, eidx):
-    """Per entry ``eidx`` of ``m``, the position in ``parts`` of the part
-    holding its row, and of the part holding its column; -1 where no part
-    holds it (a border, or outside them all)."""
-    rowtag = np.full(m.n_rows, -1, dtype=np.int64)
-    coltag = np.full(m.n_cols, -1, dtype=np.int64)
+def _entry_tags(parts, shape, rows, cols):
+    """Per pair ``(rows[t], cols[t])`` of indices below ``shape``, the
+    position in ``parts`` of the part holding its row, and of the part
+    holding its column; -1 where no part holds it (a border, or outside
+    them all)."""
+    rowtag = np.full(shape[0], -1, dtype=np.int64)
+    coltag = np.full(shape[1], -1, dtype=np.int64)
     for k, part in enumerate(parts):
         rowtag[part.rows] = k
         coltag[part.cols] = k
-    return rowtag[m.rows[eidx]], coltag[m.cols[eidx]]
+    return rowtag[rows], coltag[cols]
 
 
 def _child_blocks(tr, tc, n):
@@ -338,7 +357,7 @@ def _child_blocks(tr, tc, n):
 def _cross_entries(parts, m, eidx):
     """The entries ``eidx`` of ``m`` whose row and column lie in two
     different ``parts``, as ``(row, col)`` pairs."""
-    tr, tc = _entry_tags(parts, m, eidx)
+    tr, tc = _entry_tags(parts, m.shape, m.rows[eidx], m.cols[eidx])
     cross = eidx[(tr >= 0) & (tc >= 0) & (tr != tc)]
     return np.stack([m.rows[cross], m.cols[cross]], axis=1)
 
@@ -577,7 +596,8 @@ def balanced_permute(m, target_density, seed=0, on_round=None):
             except NoSplitError:
                 splits[node.path] = None
                 return None
-            keep = _child_blocks(*_entry_tags(children, m, eidx), 2)
+            keep = _child_blocks(*_entry_tags(
+                children, m.shape, m.rows[eidx], m.cols[eidx]), 2)
             splits[node.path] = rb, cb, [
                 (BBDFNode(ch.rows, ch.cols, path=node.path + (ci,)),
                  eidx[keep[ci]], nr - other.rows.size, nc - other.cols.size)
@@ -751,12 +771,11 @@ def check_tree(tree, m):
     go: ``leaf`` (inside a leaf block), ``border`` (on some border) and
     ``dropped``, which add up to ``m.nnz``, plus the number of ``leaves``.
 
-    Raises :class:`ShapeError`, naming the node path, unless ``m`` fits the
-    tree's shape and labels, the root holds every row and column once, at
-    each inner node the children and the borders split the node's rows and
-    columns and the entries joining two children are the node's dropped
-    list, each pair once (an exact-mode tree drops none), and no leaf has
-    borders or dropped entries.
+    The tree's own structure was checked when it was built or loaded (see
+    :class:`BBDFTree`). This raises :class:`ShapeError`, naming the node
+    path, unless ``m`` fits the tree's shape and labels, no entry joins
+    two children of an exact-mode node, and at each node of an ``abbdf``
+    tree the entries joining two children are the node's dropped list.
     """
     return _audit(tree, m)[1]
 
@@ -766,60 +785,40 @@ def _audit(tree, m):
     assembled entries; returns the entry indices of each leaf's assembled
     block, in tree order, and the counts."""
     _check_matrix(tree, m)
-    if not _governs(tree.root, m.n_rows, m.n_cols):
-        raise ShapeError("tree node []: the root does not hold every row "
-                         "and column once")
-    exact = tree.mode in ("bbdf", "balanced")
     leaf_entries = []
     counts = {"leaf": 0, "border": 0, "dropped": 0}
 
-    def name(r, c=None):
-        """A pair by its labels; one argument is a key ``r * n_cols + c``."""
-        if c is None:
-            r, c = divmod(int(r), m.n_cols)
-        if 0 <= r < m.n_rows and 0 <= c < m.n_cols:
-            return repr((m.row_labels[r], m.col_labels[c]))
-        return f"(row {r}, col {c})"
+    def name(key):
+        """An entry by its labels, from its key ``row * n_cols + col``."""
+        r, c = divmod(int(key), m.n_cols)
+        return repr((m.row_labels[r], m.col_labels[c]))
 
     def walk(node, path, eidx, own):  # own: eidx inside the node itself
         where = f"tree node {list(path)}"
         if node.is_leaf:
-            if len(node.row_border) or len(node.col_border) \
-                    or len(node.dropped):
-                raise ShapeError(f"{where}: a leaf has borders or dropped "
-                                 "entries")
             counts["leaf"] += int(own.sum())
             leaf_entries.append(eidx)
             return
-        if not (_splits(node, "rows", "row_border")
-                and _splits(node, "cols", "col_border")):
-            raise ShapeError(f"{where}: children and borders do not split "
-                             "the node's rows and columns")
-        tr, tc = _entry_tags(node.children, m, eidx)
+        tr, tc = _entry_tags(node.children, m.shape, m.rows[eidx],
+                             m.cols[eidx])
         inside = (tr >= 0) & (tc >= 0)
         cross = eidx[inside & (tr != tc)]
         keys = m.rows[cross] * m.n_cols + m.cols[cross]
-        if exact and keys.size:
+        if tree.mode != "abbdf" and keys.size:
             raise ShapeError(f"{where}: {keys.size} entries join two children "
                              f"of an exact-mode tree, e.g. {name(keys[0])}")
-        listed = np.reshape(node.dropped, (-1, 2))
-        lkeys = np.where(((listed >= 0) & (listed < m.shape)).all(axis=1),
-                         listed[:, 0] * m.n_cols + listed[:, 1], -1)
+        # the listed pairs lie in range and each joins two children once
+        lkeys = node.dropped[:, 0] * m.n_cols + node.dropped[:, 1]
         missing = keys[~np.isin(keys, lkeys)]
         if missing.size:
             raise ShapeError(f"{where}: {missing.size} entries join two "
                              "children but are not in the dropped list, e.g. "
                              f"{name(missing[0])}")
-        extra = listed[~np.isin(lkeys, keys)]
+        extra = lkeys[~np.isin(lkeys, keys)]
         if extra.size:
-            raise ShapeError(f"{where}: {len(extra)} pairs in the dropped "
-                             "list do not join two children, e.g. "
-                             f"{name(*extra[0])}")
-        if lkeys.size > keys.size:  # all listed pairs join two children
-            twice = np.sort(lkeys)
-            raise ShapeError(f"{where}: the dropped list names "
-                             f"{name(twice[1:][twice[1:] == twice[:-1]][0])} "
-                             "twice")
+            raise ShapeError(f"{where}: {extra.size} pairs in the dropped "
+                             "list are not entries of the matrix, e.g. "
+                             f"{name(extra[0])}")
         counts["dropped"] += cross.size
         counts["border"] += int((own & ~inside).sum())
         for k, keep in enumerate(_child_blocks(tr, tc, len(node.children))):

@@ -190,8 +190,9 @@ def _sgd_levels(rows, cols, order):
 
 
 def _sse(m, U, V):
+    # einsum, not BLAS: its threaded ``d @ d`` sums in another order
     d = m.vals - _dots(U, V, m.rows, m.cols)
-    return float(d @ d)
+    return float(np.einsum("i,i->", d, d))
 
 
 # Each algorithm is an epoch builder ``(m, spec, rng, sample_order) -> sweep``

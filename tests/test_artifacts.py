@@ -84,8 +84,23 @@ def _json_edit(change):
     return edit
 
 
-def _child(doc):
-    return doc["root"]["children"][0]
+def _child(doc, k=0):
+    return doc["root"]["children"][k]
+
+
+def _leaf(doc):
+    node = doc["root"]
+    while node["children"]:
+        node = node["children"][0]
+    return node
+
+
+def _drop(doc, mode, row_child, col_child):
+    """Give the root a dropped pair: the first row of one child and the
+    first column of another (or the same), in a tree of ``mode``."""
+    doc["mode"] = mode
+    doc["root"]["dropped"] = [[_child(doc, row_child)["rows"][0],
+                               _child(doc, col_child)["cols"][0]]]
 
 
 EDITS = {
@@ -128,6 +143,15 @@ EDITS = {
                         + struct.pack("<d", float("-inf"))),
     "bias not a number": ("biases.bin", lambda raw: raw[:8]
                           + struct.pack("<d", float("nan")) + raw[16:]),
+    "leaf with a border": ("tree.json", lambda d: _leaf(d)["row_border"]
+                           .append(_leaf(d)["rows"][0])),
+    "leaf with a dropped pair": ("tree.json", lambda d: _leaf(d)["dropped"]
+                                 .append([0, 0])),
+    "exact tree lists a dropped pair": ("tree.json",
+                                        lambda d: _drop(d, "balanced", 0, 1)),
+    "abbdf dropped pair inside one child": ("tree.json",
+                                            lambda d: _drop(d, "abbdf", 0, 0)),
+    "unknown mode": ("tree.json", lambda d: d.__setitem__("mode", "bbd")),
 }
 
 
@@ -138,6 +162,9 @@ def test_edited_model_file_fails_cleanly(saved, what):
     tmp, edited = _edited_copy(saved[0], name, edit)
     with tmp:
         _assert_fails_cleanly(edited, saved[1])
+        if name == "tree.json":
+            with pytest.raises(ShapeError):
+                BBDFTree.load(os.path.join(edited, name))
 
 
 @pytest.mark.parametrize("name", ["manifest.json", "block_0001.fac.json"])

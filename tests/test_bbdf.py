@@ -468,37 +468,54 @@ def test_check_tree_counts_where_each_entry_goes():
     assert assembled == set(_AUDIT_PAIRS)
 
 
-@pytest.mark.parametrize("extra, tree_kw, message", [
-    ((), {"leaf11": ([2, 3], [3, 4])},
+# Cases the tree's own structural check raises when the tree is built,
+# then the cases that need the matrix, raised by check_tree and
+# assemble_blocks; ``(id, extra entries, tree options, message)`` each.
+_BROKEN_AT_BUILD = [
+    ("overlapping-children", (), {"leaf11": ([2, 3], [3, 4])},
      r"tree node \[1\]: children and borders do not split"),
-    ((), {"leaf11": ([3], [3, 4, 0])},
+    ("index-outside-parent", (), {"leaf11": ([3], [3, 4, 0])},
      r"tree node \[1\]: children and borders do not split"),
-    ((_CROSS,), {},
+    ("exact-dropped-list", (), {"inner_dropped": [_CROSS]},
+     r"tree node \[1\]: an exact-mode tree drops no entry, but 1 pairs are "
+     r"listed"),
+    ("pair-listed-twice", (_CROSS,),
+     {"mode": "abbdf", "inner_dropped": [_CROSS, _CROSS]},
+     r"tree node \[1\]: the dropped list names \[2, 3\] twice"),
+    ("pair-outside-the-matrix", (_CROSS,),
+     {"mode": "abbdf", "inner_dropped": [_CROSS, (6, 0)]},
+     r"tree node \[1\]: dropped pair \[6, 0\] does not join two children"),
+    ("leaf-with-border", (), {"leaf10": [2]},
+     r"tree node \[1, 0\]: a leaf has borders"),
+    ("root-misses-a-row", (), {"root_rows": range(5)},
+     r"tree node \[\]: the root does not hold every row"),
+]
+_BROKEN_AGAINST_THE_MATRIX = [
+    ("exact-cross-entry", (_CROSS,), {},
      r"tree node \[1\]: 1 entries join two children of an exact-mode "
      r"tree, e.g. \('u2', 'i3'\)"),
-    ((), {"inner_dropped": [_CROSS]},
-     r"tree node \[1\]: 1 pairs in the dropped list do not join two "
-     r"children, e.g. \('u2', 'i3'\)"),
-    ((_CROSS,), {"mode": "abbdf"},
+    ("abbdf-missing-drop", (_CROSS,), {"mode": "abbdf"},
      r"tree node \[1\]: 1 entries join two children but are not in the "
      r"dropped list, e.g. \('u2', 'i3'\)"),
-    ((), {"mode": "abbdf", "inner_dropped": [_CROSS]},
-     r"tree node \[1\]: 1 pairs in the dropped list do not join"),
-    ((_CROSS,), {"mode": "abbdf", "inner_dropped": [_CROSS, _CROSS]},
-     r"tree node \[1\]: the dropped list names \('u2', 'i3'\) twice"),
-    ((_CROSS,), {"mode": "abbdf", "inner_dropped": [_CROSS, (6, 0)]},
-     r"tree node \[1\]: 1 pairs in the dropped list do not join two "
-     r"children, e.g. \(row 6, col 0\)"),
-    ((), {"leaf10": [2]}, r"tree node \[1, 0\]: a leaf has borders"),
-    ((), {"root_rows": range(5)},
-     r"tree node \[\]: the root does not hold every row"),
-], ids=["overlapping-children", "index-outside-parent", "exact-cross-entry",
-        "exact-dropped-list", "abbdf-missing-drop", "abbdf-extra-drop",
-        "pair-listed-twice", "pair-outside-the-matrix", "leaf-with-border",
-        "root-misses-a-row"])
-def test_a_tree_that_breaks_an_invariant_raises_shape_error(extra, tree_kw,
-                                                            message):
+    ("abbdf-extra-drop", (), {"mode": "abbdf", "inner_dropped": [_CROSS]},
+     r"tree node \[1\]: 1 pairs in the dropped list are not entries of the "
+     r"matrix, e.g. \('u2', 'i3'\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "at_build, extra, tree_kw, message",
+    [(True, *case[1:]) for case in _BROKEN_AT_BUILD]
+    + [(False, *case[1:]) for case in _BROKEN_AGAINST_THE_MATRIX],
+    ids=[case[0] for case in _BROKEN_AT_BUILD + _BROKEN_AGAINST_THE_MATRIX])
+def test_a_tree_that_breaks_an_invariant_raises_shape_error(
+        at_build, extra, tree_kw, message):
     m = _audit_matrix(*extra)
+    if at_build:  # no tree exists to check, and no matrix is needed
+        with pytest.raises(ShapeError, match=message) as err:
+            _audit_tree(m, **tree_kw)
+        assert err.value.exit_code == 2
+        return
     tree = _audit_tree(m, **tree_kw)
     for check in (check_tree, assemble_blocks):
         with pytest.raises(ShapeError, match=message) as err:

@@ -36,7 +36,7 @@ from lmf.factorize import _chunk_rows, _dots
 from lmf.matrix import _positions
 from lmf.model import UNCOVERED, _single_blas_thread, fallback_biases
 
-from conftest import planted_blocks
+from conftest import ml_shaped, planted_blocks
 
 
 def single_leaf_tree(m):
@@ -252,7 +252,23 @@ def test_parallel_equivalence_and_identical_model_files(tmp_path, algo,
     rng = np.random.default_rng(8)
     m = planted_blocks(rng, [(10, 12), (9, 11), (8, 10)], 0.5, bridge_rows=1)
     tree, _ = balanced_permute(m, 0.55, seed=3)
-    spec = replace(SPEC, algorithm=algo)
+    _assert_identical_model_files(tmp_path, tree, m,
+                                  replace(SPEC, algorithm=algo), threads)
+
+
+@pytest.mark.parametrize("algo", ["svd_als", "nmf", "pmf_sgd"])
+def test_identical_model_files_on_ml_shaped_blocks(tmp_path, algo):
+    # blocks of tens of thousands of entries, long enough for a threaded
+    # BLAS reduction in the serial fit to sum in another order than the
+    # single-threaded pool workers
+    m = ml_shaped(np.random.default_rng(41))
+    tree, _ = balanced_permute(m, 0.09, seed=1)
+    spec = FactorizerSpec(algorithm=algo, r=4, max_iters=2,
+                          convergence_tol=0.0, seed=1)
+    _assert_identical_model_files(tmp_path, tree, m, spec, 2)
+
+
+def _assert_identical_model_files(tmp_path, tree, m, spec, threads):
     serial = lmf_fit(tree, m, spec, threads=1)
     pooled = lmf_fit(tree, m, spec, threads=threads)
     assert serial.n_blocks > 1
@@ -686,6 +702,27 @@ def test_library_validates_a_spec_only_where_it_is_built():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "validate"]
     assert found == []
+
+
+def test_library_checks_a_tree_structure_only_where_it_is_built():
+    # BBDFTree.__init__ runs _check_structure, so a tree that exists is
+    # well formed, and neither its decoding nor check_tree checks it again
+    def calls(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("_governs", "_splits")}
+
+    found, allowed = set(), set()
+    for name, module in _library_modules():
+        found |= {(name, line) for line in calls(module)}
+        allowed |= {(name, line) for cls in module.body
+                    if isinstance(cls, ast.ClassDef) and cls.name == "BBDFTree"
+                    for method in cls.body
+                    if isinstance(method, ast.FunctionDef)
+                    and method.name == "_check_structure"
+                    for line in calls(method)}
+    assert allowed and sorted(found - allowed) == []
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
