@@ -29,6 +29,7 @@ from .errors import (
     NoSplitError,
     ShapeError,
     TooSmallError,
+    parse_json,
     read_json,
     require_keys,
 )
@@ -197,9 +198,7 @@ class BBDFTree:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        require_keys(doc, _TREE_KEYS, "tree")
-        return cls._decode(doc)
+        return cls._decode(parse_json(text, _TREE_KEYS, "tree"))
 
     @classmethod
     def _decode(cls, doc):

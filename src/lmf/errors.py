@@ -84,18 +84,22 @@ def require_keys(doc, keys, where):
         raise ShapeError(f"{where} lacks keys {missing}")
 
 
-def read_json(path, keys):
-    """The JSON object in the file at ``path``, checked by
-    :func:`require_keys`; a file that is not JSON, a truncated one
-    included, raises :class:`ShapeError` naming the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def parse_json(text, keys, where):
+    """The JSON object in ``text`` (str or bytes), checked by
+    :func:`require_keys`; text that is not JSON, a truncated document
+    included, raises :class:`ShapeError` naming ``where``."""
     try:
-        doc = json.loads(raw)
+        doc = json.loads(text)
     except ValueError as exc:
-        raise ShapeError(f"{path} is not valid JSON: {exc}") from None
-    require_keys(doc, keys, str(path))
+        raise ShapeError(f"{where} is not valid JSON: {exc}") from None
+    require_keys(doc, keys, where)
     return doc
+
+
+def read_json(path, keys):
+    """:func:`parse_json` of the file at ``path``, naming the file."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), keys, str(path))
 
 
 class ConfigError(LMFError, ValueError):

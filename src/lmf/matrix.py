@@ -13,6 +13,7 @@ star scales; factorizers need real arithmetic anyway.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,11 @@ from .errors import (
 class RatingMatrix:
     """Immutable sparse matrix of observed ratings.
 
-    Entries are unique (row, col) pairs with finite values; duplicates and
-    nan/inf ratings are hard errors at construction because they would
-    corrupt every density statistic and fit downstream. Safe to share
-    across threads once built.
+    Entries are unique (row, col) pairs with finite values, and the labels
+    of each axis are distinct; duplicates, repeated labels and nan/inf
+    ratings are hard errors at construction because they would corrupt
+    every density statistic, fit and label lookup downstream. Safe to
+    share across threads once built.
     """
 
     __slots__ = (
@@ -57,7 +59,9 @@ class RatingMatrix:
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ShapeError("col index out of range")
 
-        order = np.lexsort((cols, rows))
+        # one int64 key per entry; it overflows only past about 3e9 labels
+        # on each axis
+        order = np.argsort(rows * n_cols + cols)
         rows, cols, vals = rows[order], cols[order], vals[order]
         if rows.size > 1:
             same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
@@ -77,6 +81,10 @@ class RatingMatrix:
             else [str(j) for j in range(n_cols)]
         if len(self.row_labels) != self.n_rows or len(self.col_labels) != self.n_cols:
             raise ShapeError("label count does not match dimension")
+        for axis, labels in (("row", self.row_labels), ("col", self.col_labels)):
+            if len(set(labels)) != len(labels):
+                twice = next(lab for lab, n in Counter(labels).items() if n > 1)
+                raise ShapeError(f"{axis} label {twice!r} is repeated")
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             k = int(bad[0])
@@ -86,7 +94,7 @@ class RatingMatrix:
                 f"col {self.col_labels[cols[k]]!r}")
 
         self._row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        self._col_order = np.lexsort((rows, cols))
+        self._col_order = np.argsort(cols * n_rows + rows)
         self._col_ptr = np.searchsorted(cols[self._col_order],
                                         np.arange(n_cols + 1))
 

@@ -1,5 +1,7 @@
 """Localized factorization: fit every assembled block independently (and
-in parallel), then stitch predictions back together.
+in parallel, by the calling process and children it forks, which inherit
+the blocks and write their factors into shared memory), then stitch
+predictions back together.
 
 A row lies in the own rows or the border of one tree node, so the blocks
 holding it are those of the consecutive leaves below that node, its leaf
@@ -19,13 +21,16 @@ import contextlib
 import ctypes
 import functools
 import json
+import mmap
+import multiprocessing
 import os
+import pickle
 import re
 import secrets
 import shutil
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from numbers import Integral, Real
 
@@ -403,11 +408,10 @@ def _blas_setters():
 
 
 def _single_blas_thread():
-    """Pool initializer: run every loaded OpenBLAS with one thread, so the
-    workers split the cores between them instead of each claiming all of
-    them. numpy has no API for this. :func:`lmf_fit` resolves the setters
-    before it starts the pool, so a forked worker only calls them; a worker
-    started by spawn or forkserver resolves them itself.
+    """Run every loaded OpenBLAS with one thread. A forked fit worker calls
+    this first, so the workers split the cores between them instead of
+    each claiming all of them; numpy has no API for this. :func:`lmf_fit`
+    resolves the setters before it forks, so a worker only calls them.
 
     In a forked worker the setter restarts the library's thread pool (the
     fork stopped it), and its new threads would spin-wait for about 2**28
@@ -420,8 +424,7 @@ def _single_blas_thread():
             stop()
 
 
-def _fit_one_block(args):
-    block_matrix, spec = args
+def _fit_one_block(block_matrix, spec):
     if block_matrix.nnz == 0:
         return FactorPair(np.zeros((block_matrix.n_rows, spec.r)),
                           np.zeros((block_matrix.n_cols, spec.r)),
@@ -429,50 +432,136 @@ def _fit_one_block(args):
     return factorize(block_matrix, spec)
 
 
+def _fit_jobs(jobs, r, workers):
+    """The :class:`FactorPair` of every block ``k``, fitting ``jobs``,
+    ``(k, matrix, spec)`` triples in largest-first order, by this process
+    and ``workers - 1`` children it forks.
+
+    Every worker claims jobs in order from a counter in one anonymous
+    shared map, under a lock the children inherit, and writes a job's ``U``
+    and ``V`` into that map at the job's offset; the rest of each pair
+    (thresholds, final objective, history) comes back pickled over one
+    pipe per child. A worker whose fit raises claims nothing more and stops
+    the others claiming, so every job before it has run; the first failing
+    job in order raises its error, prefixed with its block ``k``. Children
+    leave by ``os._exit``, and every one is reaped before this returns or
+    raises; a child that dies before returning its jobs raises
+    :class:`RuntimeError` naming it.
+    """
+    sizes = [(m.n_rows + m.n_cols) * r for _, m, _ in jobs]
+    shared = mmap.mmap(-1, 8 * (1 + sum(sizes)))
+    claimed = np.frombuffer(shared, dtype=np.int64, count=1)
+    flat = np.frombuffer(shared, dtype=np.float64, offset=8)
+    ends = np.cumsum(sizes)
+    factors = [(flat[end - size:end - m.n_cols * r].reshape(m.n_rows, r),
+                flat[end - m.n_cols * r:end].reshape(m.n_cols, r))
+               for (_, m, _), size, end in zip(jobs, sizes, ends)]
+    lock = multiprocessing.Lock() if workers > 1 else contextlib.nullcontext()
+
+    def work():
+        """Fit jobs as claimed until none is left; per job, the small items
+        of its pair or the exception its fit raised."""
+        done = {}
+        while True:
+            with lock:
+                j = int(claimed[0])
+                claimed[0] = j + 1
+            if j >= len(jobs):
+                return done
+            try:
+                pair = _fit_one_block(*jobs[j][1:])
+            except Exception as exc:
+                with lock:
+                    claimed[0] = len(jobs)
+                done[j] = exc
+                return done
+            factors[j][0][...], factors[j][1][...] = pair.U, pair.V
+            done[j] = (pair.thresholds, pair.final_objective, pair.history)
+
+    children = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    _single_blas_thread()
+                    payload = pickle.dumps(work())
+                    with open(write_end, "wb") as fh:
+                        fh.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children[pid] = read_end
+        done = work()
+        for w, pid in enumerate(list(children), 1):
+            with open(children[pid], "rb", closefd=False) as fh:
+                payload = fh.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            if status or not payload:
+                raise RuntimeError(f"fit worker {w} (pid {pid}) died before "
+                                   "returning its blocks (wait status "
+                                   f"{status})")
+            done.update(pickle.loads(payload))
+    finally:
+        # only on an error: the children still running are stopped
+        for pid, read_end in children.items():
+            os.close(read_end)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pairs = [None] * len(jobs)
+    for j, (k, _, _) in enumerate(jobs):
+        if isinstance(done[j], BaseException):
+            with error_context(f"block {k}:"):
+                raise done[j]
+        pairs[k] = FactorPair(*factors[j], *done[j])
+    return pairs
+
+
 def lmf_fit(tree, m, spec, threads=1, uncovered=UNCOVERED[0]):
     """Factorize every assembled block of ``tree`` independently.
 
-    Blocks are dispatched largest-first over a pool of at most ``threads``
-    worker processes, capped at the CPUs this process may run on and the
-    block count; each worker runs BLAS with one thread. Each block trains
-    under a seed derived from the spec seed and the block's position, so
-    the result is identical for any thread count. Fallback biases are
-    computed from all training entries. The model's tree has the labels of
-    ``m``, whether or not ``tree`` has them.
+    Blocks are fitted largest-first by at most ``threads`` processes: this
+    one and children it forks (see :func:`_fit_jobs`), capped at the CPUs
+    this process may run on and the block count; a platform without
+    ``os.fork`` fits them all here. Each child runs BLAS with one thread;
+    this process keeps its own. Each block trains under a seed derived
+    from the spec seed and the block's position, so the result is
+    identical for any thread count. The first failing block in
+    largest-first order raises its error, prefixed with the block's
+    position. Fallback biases are computed from all training entries. The
+    model's tree has the labels of ``m``, whether or not ``tree`` has them.
     """
     _check_uncovered(uncovered)
     if not (_is_number(threads, Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     blocks = assemble_blocks(tree, m)
-    # the model predicts by label, so its tree takes the labels of ``m``,
-    # which has just passed the tree's check
-    tree = BBDFTree(tree.root, tree.mode, tree.seed, tree.target_density,
-                    matrix=m, rounds=tree.rounds)
-
     if spec.algorithm == "mmmf_fast" and spec.levels is None:
         # every block must share the full matrix's ordinal level set
         levels = tuple(float(v) for v in np.unique(m.vals))
         spec = replace(spec, levels=levels)
 
     order = sorted(range(len(blocks)), key=lambda k: -blocks[k].nnz)
-    jobs = [(blocks[k].matrix,
+    jobs = [(k, blocks[k].matrix,
              replace(spec, seed=_derive_seed(spec.seed, (7001, k))))
             for k in order]
-
-    pairs = [None] * len(blocks)
-    workers = min(threads, len(os.sched_getaffinity(0)), len(blocks))
+    workers = min(threads, len(os.sched_getaffinity(0)), len(blocks)) \
+        if hasattr(os, "fork") else 1
     t_fit = time.perf_counter()
     if workers > 1:
         _blas_setters()  # resolved here once, so forked workers only call them
-    with (ProcessPoolExecutor(max_workers=workers,
-                              initializer=_single_blas_thread)
-          if workers > 1 else contextlib.nullcontext()) as pool:
-        results = (pool.map if pool else map)(_fit_one_block, jobs)
-        for k in order:
-            with error_context(f"block {k}:"):
-                pairs[k] = next(results)
+    pairs = _fit_jobs(jobs, spec.r, workers)
     fit_wall = time.perf_counter() - t_fit
 
+    # the model predicts by label, so its tree takes the labels of ``m``,
+    # which has just passed the tree's check
+    tree = BBDFTree(tree.root, tree.mode, tree.seed, tree.target_density,
+                    matrix=m, rounds=tree.rounds)
     mu, b_u, b_i = fallback_biases(m)
     return LMFModel(tree, pairs, mu, b_u, b_i, spec, m.value_range(),
                     timings={"fit_wall": fit_wall}, uncovered=uncovered)

@@ -749,6 +749,15 @@ def test_tree_json_rejects_partial_root():
         BBDFTree.from_json(doc)
 
 
+@pytest.mark.parametrize("text", ["{", "", "[1, 2", b"\xff"])
+def test_tree_json_that_is_not_json_raises_shape_error(text):
+    from lmf.errors import ShapeError
+
+    with pytest.raises(ShapeError, match="^tree is not valid JSON: ") as err:
+        BBDFTree.from_json(text)
+    assert err.value.exit_code == 2
+
+
 def test_factorize_accepts_assembled_block():
     from lmf import FactorizerSpec, factorize
 

@@ -3,9 +3,8 @@ import ctypes
 import importlib
 import inspect
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from lmf.errors import DomainError, MissingLabelsError, ShapeError
 from lmf import model as model_module
 from lmf.factorize import _chunk_rows, _dots
 from lmf.matrix import _positions
-from lmf.model import UNCOVERED, _single_blas_thread, fallback_biases
+from lmf.model import UNCOVERED, fallback_biases
 
 from conftest import ml_shaped, planted_blocks
 
@@ -324,14 +323,72 @@ def _openblas_threads():
     return counts
 
 
-def test_pool_workers_run_one_blas_thread():
+def _planted_fit_case():
+    rng = np.random.default_rng(8)
+    m = planted_blocks(rng, [(10, 12), (9, 11), (8, 10)], 0.5, bridge_rows=1)
+    tree, _ = balanced_permute(m, 0.55, seed=3)
+    return tree, m
+
+
+def _fork_two_workers(monkeypatch, tmp_path, in_parent=None, in_child=None):
+    """Make lmf_fit's factorize run ``in_child()`` first in a forked worker
+    and ``in_parent()`` in this process, whose fits wait until a child has
+    started one, so that both workers fit blocks."""
+    if not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("lmf_fit forks workers only with os.fork and >= 2 CPUs")
+    parent, real = os.getpid(), model_module.factorize
+    started = tmp_path / "child-started"
+
+    def fit(block, spec):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 60
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if in_parent is not None:
+                in_parent()
+        else:
+            started.touch()
+            if in_child is not None:
+                in_child()
+        return real(block, spec)
+    monkeypatch.setattr(model_module, "factorize", fit)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _record_in_child(tmp_path, probe):
+    """An ``in_child`` that writes ``probe()`` to a file per call; and the
+    reader of every record, with the pid that wrote it."""
+    def record():
+        path = tmp_path / f"{os.getpid()}-{time.monotonic_ns()}.json"
+        path.write_text(json.dumps(probe()))
+
+    def records():
+        return [(int(p.name.split("-")[0]), json.loads(p.read_text()))
+                for p in tmp_path.glob("*.json")]
+    return record, records
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch, tmp_path):
+    # lmf_fit's forked workers run BLAS with one thread; the calling
+    # process, which fits blocks too, keeps its own count
     before = _openblas_threads() if os.path.exists("/proc/self/maps") else {}
     if not before:
         pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it")
-    with ProcessPoolExecutor(max_workers=1,
-                             initializer=_single_blas_thread) as pool:
-        in_worker = pool.submit(_openblas_threads).result(timeout=60)
-    assert in_worker and set(in_worker.values()) == {1}
+    record, records = _record_in_child(tmp_path, _openblas_threads)
+    in_parent = []
+    _fork_two_workers(monkeypatch, tmp_path,
+                      in_parent=lambda: in_parent.append(_openblas_threads()),
+                      in_child=record)
+    lmf_fit(*_planted_fit_case(), SPEC, threads=2)
+    seen = records()
+    assert seen and all(pid != os.getpid() for pid, _ in seen)
+    for _, counts in seen:
+        assert counts and set(counts.values()) == {1}
+    assert in_parent and all(c == before for c in in_parent)
     assert _openblas_threads() == before
 
 
@@ -339,41 +396,128 @@ def _thread_count():
     return len(os.listdir("/proc/self/task"))
 
 
-def test_pool_workers_start_no_blas_threads():
+def test_pool_workers_start_no_blas_threads(monkeypatch, tmp_path):
     # setting the count restarts OpenBLAS's thread pool in a forked worker,
-    # whose threads would spin on the cores the fit needs; the initializer
-    # stops them, so the worker runs its own thread only
+    # whose threads would spin on the cores the fit needs; the worker stops
+    # them, so it runs its own thread only, at every block it fits
     if not (os.path.exists("/proc/self/maps") and _openblas_threads()):
         pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it")
-    with ProcessPoolExecutor(max_workers=1,
-                             initializer=_single_blas_thread) as pool:
-        assert pool.submit(_thread_count).result(timeout=60) == 1
+    record, records = _record_in_child(tmp_path, _thread_count)
+    _fork_two_workers(monkeypatch, tmp_path, in_child=record)
+    lmf_fit(*_planted_fit_case(), SPEC, threads=2)
+    seen = records()
+    assert seen and {count for _, count in seen} == {1}
 
 
 def test_forked_workers_reuse_the_parents_blas_setters(monkeypatch,
-                                                       request):
-    # lmf_fit resolves the OpenBLAS setters once per process, before its
-    # pool forks; the workers only call them and load no library
+                                                       request, tmp_path):
+    # lmf_fit resolves the OpenBLAS setters once per process, before it
+    # forks; the workers only call them and load no library
     if not (os.path.exists("/proc/self/maps") and _openblas_threads()):
         pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it")
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers are not forked on this platform")
+    _fork_two_workers(monkeypatch, tmp_path)
     parent, loads, cdll = os.getpid(), [], ctypes.CDLL
 
     def load(path, *args, **kwargs):
         if os.getpid() != parent:
-            raise RuntimeError(f"a pool worker loaded {path}")
+            raise RuntimeError(f"a fit worker loaded {path}")
         loads.append(path)
         return cdll(path, *args, **kwargs)
     model_module._blas_setters.cache_clear()
     request.addfinalizer(model_module._blas_setters.cache_clear)
     monkeypatch.setattr(ctypes, "CDLL", load)
-    rng = np.random.default_rng(8)
-    m = planted_blocks(rng, [(10, 12), (9, 11), (8, 10)], 0.5, bridge_rows=1)
-    tree, _ = balanced_permute(m, 0.55, seed=3)
+    tree, m = _planted_fit_case()
     for _ in range(2):
         lmf_fit(tree, m, SPEC, threads=2)
     assert 0 < len(loads) == len(set(loads))
+
+
+def test_fit_leaves_no_child_process(monkeypatch, tmp_path):
+    _fork_two_workers(monkeypatch, tmp_path)
+    model = lmf_fit(*_planted_fit_case(), SPEC, threads=2)
+    assert model.n_blocks > 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("where", ["in_parent", "in_child"])
+def test_block_error_in_either_worker_leaves_no_child(monkeypatch, tmp_path,
+                                                      where):
+    def fail():
+        raise DomainError("no fit here")
+    _fork_two_workers(monkeypatch, tmp_path, **{where: fail})
+    with pytest.raises(DomainError, match=r"^block \d+: no fit here$"):
+        lmf_fit(*_planted_fit_case(), SPEC, threads=2)
+    _no_child_left()
+
+
+def test_interrupted_fit_stops_its_children(monkeypatch, tmp_path):
+    # an exception that is no block's error, such as an interrupt, leaves
+    # the fit at once: the children still fitting are stopped and reaped
+    class Interrupt(BaseException):
+        pass
+
+    def interrupt():
+        raise Interrupt
+    _fork_two_workers(monkeypatch, tmp_path, in_parent=interrupt)
+    with pytest.raises(Interrupt):
+        lmf_fit(*_planted_fit_case(), SPEC, threads=2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_failing_block_is_the_largest_first(monkeypatch, threads):
+    # every block fails; the error is the one of the first block in
+    # largest-first order, whichever worker fitted it
+    def fail(block, spec):
+        raise DomainError("no fit here")
+    monkeypatch.setattr(model_module, "factorize", fail)
+    tree, m = _planted_fit_case()
+    nnz = [b.nnz for b in assemble_blocks(tree, m)]
+    with pytest.raises(DomainError,
+                       match=rf"^block {nnz.index(max(nnz))}: no fit here$"):
+        lmf_fit(tree, m, SPEC, threads=threads)
+
+
+def test_each_job_is_fitted_once_by_more_workers_than_cpus(monkeypatch,
+                                                          tmp_path):
+    # the job counter is shared: a lost update would fit a job twice or
+    # skip one; the factors equal those of one worker
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    rng = np.random.default_rng(21)
+    jobs = []
+    for k in range(40):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        r, c = np.nonzero(rng.random((rows, cols)) < 0.7)
+        jobs.append((k, RatingMatrix(rows, cols, r, c, rng.random(r.size)),
+                     replace(SPEC, seed=k, max_iters=3)))
+    parent, real = os.getpid(), model_module.factorize
+
+    def fit(block, spec):
+        (tmp_path / f"{spec.seed}-{os.getpid()}").touch()
+        deadline = time.monotonic() + 60
+        while os.getpid() == parent and time.monotonic() < deadline and \
+                all(p.name.endswith(f"-{parent}") for p in tmp_path.iterdir()):
+            time.sleep(0.001)  # until a child has claimed a job too
+        return real(block, spec)
+    monkeypatch.setattr(model_module, "factorize", fit)
+    pooled = model_module._fit_jobs(jobs, SPEC.r, 4)
+    fitted = [int(p.name.split("-")[0]) for p in tmp_path.iterdir()]
+    assert sorted(fitted) == [k for k, m, _ in jobs if m.nnz]
+    assert len({p.name.split("-")[1] for p in tmp_path.iterdir()}) > 1
+    for a, b in zip(model_module._fit_jobs(jobs, SPEC.r, 1), pooled):
+        assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+        assert a.history == b.history
+    _no_child_left()
+
+
+def test_worker_that_dies_mid_fit_raises(monkeypatch, tmp_path):
+    # a child that exits without returning its blocks fails the fit: no
+    # hang, no model, no child left
+    _fork_two_workers(monkeypatch, tmp_path, in_child=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"fit worker 1 \(pid \d+\) died"):
+        lmf_fit(*_planted_fit_case(), SPEC, threads=2)
+    _no_child_left()
 
 
 @pytest.mark.parametrize("cut", [3, 8])  # mid-value, and whole values lost

@@ -274,6 +274,61 @@ def test_duplicate_entries_rejected_at_construction():
         RatingMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
 
 
+def _random_entries(rng, n_rows, n_cols, nnz):
+    """Unsorted distinct cells, holding the last row and the last column."""
+    cells = rng.choice(n_rows * n_cols, size=nnz, replace=False)
+    cells[:2] = [n_rows * n_cols - 1, (n_rows - 1) * n_cols]
+    cells = rng.permutation(np.unique(cells))
+    return cells // n_cols, cells % n_cols
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_key_sort_equals_lexsort(seed):
+    # reference for the one-key sorts of the constructor: the entries and
+    # the column order are those of the two-key lexsort
+    rng = np.random.default_rng(seed)
+    for n_rows, n_cols in [(1, 900), (900, 1), (37, 53),
+                           (int(rng.integers(2, 3000)),
+                            int(rng.integers(2, 3000)))]:
+        nnz = int(rng.integers(2, min(n_rows * n_cols, 5000) + 1))
+        rows, cols = _random_entries(rng, n_rows, n_cols, nnz)
+        vals = rng.random(rows.size)
+        m = RatingMatrix(n_rows, n_cols, rows, cols, vals)
+        order = np.lexsort((cols, rows))
+        assert np.array_equal(m.rows, rows[order])
+        assert np.array_equal(m.cols, cols[order])
+        assert np.array_equal(m.vals, vals[order])
+        assert np.array_equal(m._col_order, np.lexsort((m.rows, m.cols)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_duplicate_named_as_by_lexsort(seed):
+    # the message names the first repeated cell in (row, col) order
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = int(rng.integers(2, 60)), int(rng.integers(2, 60))
+    rows, cols = _random_entries(rng, n_rows, n_cols,
+                                 min(n_rows * n_cols, 200))
+    again = rng.choice(rows.size, size=3, replace=False)
+    rows, cols = np.append(rows, rows[again]), np.append(cols, cols[again])
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    k = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1]))[0]
+    with pytest.raises(DuplicateEntryError) as err:
+        RatingMatrix(n_rows, n_cols, rows, cols, np.ones(rows.size))
+    assert str(err.value) == f"duplicate entry at (row={r[k]}, col={c[k]})"
+
+
+@pytest.mark.parametrize("labels, message", [
+    ({"row_labels": ["p", "q", "p"]}, "row label 'p' is repeated"),
+    ({"col_labels": ["y", "y"]}, "col label 'y' is repeated"),
+])
+def test_repeated_labels_rejected_at_construction(labels, message):
+    with pytest.raises(ShapeError) as err:
+        RatingMatrix(3, 2, [0, 2], [0, 1], [1.0, 2.0], **labels)
+    assert str(err.value) == message
+    assert err.value.exit_code == 2
+
+
 def test_out_of_range_entry_rejected():
     with pytest.raises(ShapeError):
         RatingMatrix(2, 2, [0, 2], [0, 0], [1.0, 1.0])
